@@ -53,11 +53,6 @@ class ComparisonFunctionSet:
     sigma2: MonotoneFn
     c1: float = 0.0
 
-    def all_named(self):
-        return {"chi1": self.chi1, "chi2": self.chi2, "chi3": self.chi3,
-                "chi4": self.chi4, "chi5": self.chi5,
-                "sigma1": self.sigma1, "sigma2": self.sigma2}
-
 
 def noise_bound(t, delta: float, sigma_w: float, n: int):
     """High-probability process-noise magnitude bound; zero at t = 0."""
@@ -148,12 +143,6 @@ class BoundInputs:
         zb = self.z_bar(t, delta, x0)
         return np.square(zb) if np.ndim(t) else float(zb) ** 2
 
-    def beta_max_upper(self, t, delta, x0):
-        """Dominating Gramian bound t * z_bar(t)^2 + gamma (z_bar is
-        non-decreasing, so this majorises the exact partial sum)."""
-        t_arr = np.asarray(t, dtype=float)
-        return t_arr * self.z_bar_sq(t_arr, delta, x0) + self.gamma
-
     def error_from_beta(self, t, delta, beta_max_val):
         """Estimation-error envelope given the Gramian bound at delta/3."""
         t_arr = np.asarray(t, dtype=float)
@@ -164,10 +153,6 @@ class BoundInputs:
                + self.sigma_w * np.sqrt(2.0 * self.n * log_term))
         out = num / denom
         return float(out) if np.ndim(t) == 0 else np.asarray(out)
-
-    def error_envelope_upper(self, t, delta, x0):
-        """Conservative error envelope using the dominating Gramian bound."""
-        return self.error_from_beta(t, delta, self.beta_max_upper(t, delta / 3.0, x0))
 
     # -- burn-in predicate pieces -------------------------------------------
 
@@ -579,7 +564,7 @@ def compute_schedule(inputs: BoundInputs, delta: float, x0, horizon: int,
         if conv_ub.found:
             conv = conv_ub
 
-    ok, reason = _condition_verdict(inputs, delta, x0, conv, t_cont, horizon)
+    ok, reason = _condition_verdict(inputs, delta, x0, conv, t_cont)
     return BoundSchedule(delta=delta, x0=np.atleast_1d(np.asarray(x0, dtype=float)),
                          horizon=horizon, cap=cap, t=t_full, w_bar=w, x_bar=xb,
                          z_bar=zb, beta_max=beta, e=e, T_burn_in=burn,
@@ -588,7 +573,7 @@ def compute_schedule(inputs: BoundInputs, delta: float, x0, horizon: int,
 
 
 def _condition_verdict(inputs: BoundInputs, delta: float, x0,
-                       conv: SearchResult, t_cont: float, horizon: int):
+                       conv: SearchResult, t_cont: float):
     """Truth of T_converge + 1 <= T_contained with an explanation string."""
     if math.isinf(t_cont):
         return True, "T_contained = inf (invariant region covers the state space)"
@@ -614,8 +599,7 @@ def _condition_verdict(inputs: BoundInputs, delta: float, x0,
                    "(conservative refusal)")
 
 
-def check_condition(inputs: BoundInputs, delta: float, x0, cap: int,
-                    horizon: int = 4) -> dict:
+def check_condition(inputs: BoundInputs, delta: float, x0, cap: int) -> dict:
     """Report the theorem condition at delta and at delta/2 (stability variant)."""
     out = {}
     for label, dlt in (("delta", delta), ("delta/2", delta / 2.0)):
@@ -626,7 +610,7 @@ def check_condition(inputs: BoundInputs, delta: float, x0, cap: int,
             conv_ub = certified_converge_upper(inputs, dlt, x0)
             if conv_ub.found:
                 conv = conv_ub
-        ok, reason = _condition_verdict(inputs, dlt, x0, conv, t_cont, horizon)
+        ok, reason = _condition_verdict(inputs, dlt, x0, conv, t_cont)
         out[label] = {"ok": ok, "reason": reason,
                       "T_converge": conv.value, "T_converge_mode": conv.mode,
                       "T_contained": t_cont}

@@ -153,20 +153,6 @@ def default_theta_grid(theta_star, rng: np.random.Generator,
     return grid
 
 
-def _policy_batch(policy: PolicyFamily, x: np.ndarray, s: np.ndarray,
-                  theta: np.ndarray) -> np.ndarray:
-    """Evaluate the policy on a batch, falling back to a loop for callables
-    that only accept single points."""
-    try:
-        u = np.asarray(policy.eval(x, s, theta), dtype=float)
-        if u.shape[:-1] == x.shape[:-1]:
-            return u
-    except Exception:
-        pass
-    return np.stack([np.atleast_1d(np.asarray(policy.eval(x[i], s[i], theta), dtype=float))
-                     for i in range(x.shape[0])])
-
-
 def moment_scan(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
                 x_grid: int = 33, theta_samples: int = 24, zeta_samples: int = 256,
                 mc_samples: int = 10_000, seed: int = 0,
@@ -198,7 +184,7 @@ def moment_scan(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor
         s = policy.dither.sample(substream(seed, 12, xi), mc_samples)
         xw = x[None, :] + w
         for ti, theta in enumerate(thetas):
-            u = _policy_batch(policy, xw, s, np.asarray(theta, dtype=float))
+            u = np.asarray(policy.eval(xw, s, np.asarray(theta, float)), dtype=float)
             z = np.asarray(sys.basis_psi(xw, u), dtype=float)       # (mc, d)
             np.matmul(z, zetas_t, out=proj)
             np.abs(proj, out=proj)
@@ -286,7 +272,8 @@ def rpi_check(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
     checked = 0
     for theta in thetas:
         for s in s_pts:
-            u = _policy_batch(policy, xs, np.broadcast_to(s, (len(xs), len(s))), theta)
+            u = np.asarray(policy.eval(xs, np.broadcast_to(s, (len(xs), len(s))), theta),
+                           dtype=float)
             for w in w_pts:
                 nxt = step(sys, xs, u, np.broadcast_to(w, (len(xs), sys.n)))
                 inside = region.contains(nxt)
@@ -310,7 +297,8 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
                               safety: float = 1.5) -> float:
     """Worst observed ratio |policy(x, theta) - policy(x, theta*)| / |dtheta|
     over parameters within ball_radius of the truth, inflated by a safety
-    factor.  policy_eval takes (x, theta) (dither already fixed).
+    factor.  policy_eval takes (x (k, n), theta) and returns the (k, m)
+    controls (dither already fixed).
 
     Fails when the scan detects a rank collapse of the input-block inside
     the ball (the ratio blows up; callers should shrink the radius).
@@ -334,7 +322,7 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
     mags = np.geomspace(1e-3, x_max, n_x)
     xs = dirs * mags[:, None]
 
-    base = np.stack([np.atleast_1d(policy_eval(x, th)) for x in xs])
+    base = np.asarray(policy_eval(xs, th), dtype=float)
     worst = 0.0
     for _ in range(n_theta):
         d = rng.standard_normal(size=th.shape)
@@ -348,7 +336,7 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
                 "input-block rank collapse inside the parameter ball; "
                 f"retry with a radius below {r:.3g}")
         dist = spectral_norm(cand - th)
-        vals = np.stack([np.atleast_1d(policy_eval(x, cand)) for x in xs])
+        vals = np.asarray(policy_eval(xs, cand), dtype=float)
         diff = np.linalg.norm(vals - base, axis=-1)
         worst = max(worst, float(np.max(diff)) / dist)
     if worst == 0.0:
@@ -370,7 +358,7 @@ def lyapunov_drift(sys: SystemModel, policy: PolicyFamily,
     w = sys.process_noise.sample(substream(seed, 51), mc_samples)
     s = policy.dither.sample(substream(seed, 52), mc_samples)
     xb = np.broadcast_to(x, (mc_samples, sys.n))
-    u = _policy_batch(policy, xb, s, theta)
+    u = np.asarray(policy.eval(xb, s, theta), dtype=float)
     nxt = step(sys, xb, u, w)
     vals = np.asarray(cert.V(nxt), dtype=float)
     v0 = float(np.asarray(cert.V(x[None, :]), dtype=float)[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -117,21 +118,26 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def write_json(path: str, obj) -> None:
+    """Strict JSON: infinities become the strings "inf" / "-inf", and NaN
+    fails the dump instead of writing a token JSON does not have."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
+def _jsonable(obj):
+    """obj with numpy values made plain and infinite floats tagged."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if obj == float("inf"):
-        return "inf"
-    raise TypeError(f"not JSON serialisable: {type(obj)}")
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
 
 
 def file_sha256(path: str) -> str:

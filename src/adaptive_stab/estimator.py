@@ -18,6 +18,23 @@ from .linalg import sym_eig_extremes
 from .system import SystemModel
 
 
+def ridge_solve(G: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve the regularised normal equations G theta = C, batched over the
+    leading axes of G (..., d, d) and C (..., d, n).
+    """
+    if G.shape[-1] == 2:
+        # closed-form 2x2 solve; the Gramian is positive definite so the
+        # determinant is bounded away from zero by gamma^2
+        g00, g01 = G[..., 0, 0, None], G[..., 0, 1, None]
+        g10, g11 = G[..., 1, 0, None], G[..., 1, 1, None]
+        det = g00 * g11 - g01 * g10
+        out = np.empty_like(C)
+        out[..., 0, :] = (g11 * C[..., 0, :] - g01 * C[..., 1, :]) / det
+        out[..., 1, :] = (g00 * C[..., 1, :] - g10 * C[..., 0, :]) / det
+        return out
+    return np.linalg.solve(G, C)
+
+
 @dataclass
 class RlsEstimator:
     gamma: float
@@ -57,36 +74,16 @@ class RlsEstimator:
         self.t += 1
         return self
 
-    def _ingest(self, z: np.ndarray, residual: np.ndarray) -> None:
-        """Hot-path update without validation; callers guarantee shapes and
-        finiteness (the simulation loop validates once at construction)."""
-        self.G += np.outer(z, z)
-        self.C += np.outer(z, residual)
-        self.t += 1
-
     def estimate(self) -> np.ndarray:
         """Current estimate: the initial guess before any data, otherwise the
         solution of the regularised normal equations.
         """
         if self.t == 0:
             return self.vartheta0.copy()
-        if self.d == 2:
-            # closed-form 2x2 solve; the Gramian is positive definite so the
-            # determinant is bounded away from zero by gamma^2
-            g = self.G
-            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-            out = np.empty_like(self.C)
-            out[0] = (g[1, 1] * self.C[0] - g[0, 1] * self.C[1]) / det
-            out[1] = (g[0, 0] * self.C[1] - g[1, 0] * self.C[0]) / det
-            return out
-        return np.linalg.solve(self.G, self.C)
+        return ridge_solve(self.G, self.C)
 
     def gramian_extremes(self) -> tuple[float, float]:
         return sym_eig_extremes(self.G)
-
-    def snapshot(self) -> dict:
-        return {"gamma": self.gamma, "t": self.t,
-                "G": self.G.copy(), "C": self.C.copy()}
 
 
 def regressor(sys: SystemModel, x_prev, u_prev) -> np.ndarray:

@@ -1,25 +1,25 @@
-"""Closed-loop simulation harness: single trials, Monte-Carlo ensembles,
-quantile statistics, and empirical coverage of the probabilistic bounds.
+"""Closed-loop simulation harness: Monte-Carlo ensembles stepped together
+over time (a single trial is the one-trial case), quantile statistics, and
+empirical coverage of the probabilistic bounds.
 
 Each trial draws its process-noise and dither streams from substreams keyed
-by (base_seed, trial index, stream id), so ensembles are reproducible and
-independent of execution order.
+by (base_seed, trial index, stream id), and every per-trial computation is
+row-wise, so a trial's result does not depend on which trials share its
+batch.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .estimator import RlsEstimator
-from .noise import NoiseModel
+from .estimator import ridge_solve
 from .rng import DITHER, PROCESS_NOISE, substream
-from .system import PolicyFamily, SystemModel, Trajectory
+from .system import PolicyFamily, SystemModel, Trajectory, step
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -50,69 +50,92 @@ class ExperimentConfig:
         if self.vartheta0 is None:
             self.vartheta0 = np.zeros((self.system.d, self.system.n))
         self.vartheta0 = np.asarray(self.vartheta0, dtype=float)
+        if self.vartheta0.shape != (self.system.d, self.system.n):
+            raise ConfigError(f"vartheta0 has shape {self.vartheta0.shape}, "
+                              f"expected ({self.system.d}, {self.system.n})")
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> Trajectory:
-    """Simulate one closed-loop rollout.
+def _simulate(cfg: ExperimentConfig, trial_indices: Sequence[int]) -> list:
+    """Simulate the given trials together: one loop over time advances every
+    trial at once, with states, Gramians, cross moments and estimates held
+    as arrays over trials.
 
     The control at time t uses the estimate built from data through time
     t-1 (one-step estimate delay): the freshest transition is ingested into
-    the estimator only after the current estimate has been read.
+    the Gramian only after the current estimate has been read.  A trial whose
+    state leaves the divergence limit (or turns non-finite) stops updating
+    and its trajectory is cut at that step.
     """
     sys, policy = cfg.system, cfg.policy
-    n, m, d, q, T = sys.n, sys.m, sys.d, sys.q, cfg.horizon
+    n, d, T = sys.n, sys.d, cfg.horizon
+    N = len(trial_indices)
 
-    noise_rng = substream(cfg.base_seed, trial_index, PROCESS_NOISE)
-    dither_rng = substream(cfg.base_seed, trial_index, DITHER)
-    w_all = sys.process_noise.sample(noise_rng, T)
-    s_all = policy.dither.sample(dither_rng, T)
+    noises = np.empty((N, T, n))
+    dithers = np.empty((N, T, policy.dither.dim))
+    for k, i in enumerate(trial_indices):
+        noises[k] = sys.process_noise.sample(
+            substream(cfg.base_seed, i, PROCESS_NOISE), T)
+        dithers[k] = policy.dither.sample(substream(cfg.base_seed, i, DITHER), T)
+    states = np.zeros((N, T + 1, n))
+    controls = np.zeros((N, T, sys.m))
+    regressors = np.zeros((N, T, d))
+    estimates = np.zeros((N, T + 1, d, n))
+    states[:, 0] = cfg.x0
 
-    est = RlsEstimator(gamma=cfg.gamma, d=d, n=n, vartheta0=cfg.vartheta0)
-    states = np.zeros((T + 1, n))
-    controls = np.zeros((T, m))
-    regressors = np.zeros((T, d))
-    estimates = np.zeros((T + 1, d, n))
-    states[0] = cfg.x0
-    theta_star_t = sys.theta_star.T
-
-    x = cfg.x0.copy()
-    pending = None
-    diverged_at = None
-    f, psi, peval = sys.nominal_f, sys.basis_psi, policy.eval
+    G = np.tile(cfg.gamma * np.eye(d), (N, 1, 1))
+    C = np.zeros((N, d, n))
+    live = np.arange(N)               # rows still being simulated
+    diverged_at = [None] * N
+    x = states[:, 0].copy()
+    pending = None                    # (z, residual) of the previous step
+    f, psi = sys.nominal_f, sys.basis_psi
     for t in range(T):
-        theta_used = est.estimate()
-        estimates[t] = theta_used
+        # no data is ingested before t = 2, so rows 0 and 1 hold the guess
+        theta = cfg.vartheta0 if t < 2 else ridge_solve(G, C)
+        estimates[live, t] = theta
         if pending is not None:
-            est._ingest(*pending)
-        u = np.asarray(peval(x, s_all[t], theta_used), dtype=float)
+            z, res = pending
+            G += z[:, :, None] * z[:, None, :]
+            C += z[:, :, None] * res[:, None, :]
+        u = np.asarray(policy.eval(x, dithers[live, t], theta), dtype=float)
+        x_next = step(sys, x, u, noises[live, t])
         z = np.asarray(psi(x, u), dtype=float)
-        f_val = np.asarray(f(x, u), dtype=float)
-        x_next = f_val + theta_star_t @ z + w_all[t]
-        controls[t] = u
-        regressors[t] = z
-        states[t + 1] = x_next
+        res = x_next - np.asarray(f(x, u), dtype=float)
+        controls[live, t] = u
+        regressors[live, t] = z
+        states[live, t + 1] = x_next
         # NaN compares false, so this single reduction also catches non-finites
-        if not np.all(np.abs(x_next) < DIVERGENCE_LIMIT):
-            diverged_at = t + 1
-            T_eff = t + 1
-            states = states[: T_eff + 1]
-            controls = controls[: T_eff]
-            regressors = regressors[: T_eff]
-            estimates = estimates[: T_eff + 1]
-            w_all = w_all[: T_eff]
-            s_all = s_all[: T_eff]
-            break
-        pending = (z, x_next - f_val)
+        ok = np.all(np.abs(x_next) < DIVERGENCE_LIMIT, axis=-1)
+        if not ok.all():
+            for k in live[~ok]:
+                diverged_at[k] = t + 1
+            live, x_next, z, res, G, C = (a[ok] for a in (live, x_next, z, res, G, C))
+            if live.size == 0:
+                break
+        pending = (z, res)
         x = x_next
-    if diverged_at is None:
-        if pending is not None:
-            est._ingest(*pending)
-            pending = None
-        estimates[T] = est.estimate()
-    return Trajectory(states=states, controls=controls, dithers=s_all,
-                      noises=w_all, estimates=estimates, regressors=regressors,
-                      trial_index=trial_index, base_seed=cfg.base_seed,
-                      diverged=diverged_at is not None, diverged_at=diverged_at)
+    if live.size:
+        z, res = pending
+        G += z[:, :, None] * z[:, None, :]
+        C += z[:, :, None] * res[:, None, :]
+        estimates[live, T] = ridge_solve(G, C)
+
+    trajectories = []
+    for k, i in enumerate(trial_indices):
+        end = T if diverged_at[k] is None else diverged_at[k]
+        trajectories.append(Trajectory(
+            states=states[k, : end + 1], controls=controls[k, :end],
+            dithers=dithers[k, :end], noises=noises[k, :end],
+            estimates=estimates[k, : end + 1], regressors=regressors[k, :end],
+            trial_index=i, base_seed=cfg.base_seed,
+            diverged=diverged_at[k] is not None, diverged_at=diverged_at[k]))
+    return trajectories
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> Trajectory:
+    """Simulate one closed-loop rollout: the one-trial case of the ensemble
+    loop, so it reproduces that trial of run_ensemble exactly."""
+    return _simulate(cfg, [trial_index])[0]
 
 
 def quantile_series(values: Sequence[np.ndarray], q: float) -> np.ndarray:
@@ -188,19 +211,13 @@ class EnsembleStats:
 
 
 def run_ensemble(cfg: ExperimentConfig, quantiles: Sequence[float] = (0.5, 0.9),
-                 events: Optional[dict] = None, threads: int = 1,
-                 keep_trajectories: bool = False):
+                 events: Optional[dict] = None, keep_trajectories: bool = False):
     """Simulate n_trials rollouts and reduce to per-time quantiles of |X(t)|
     and of the estimation error, plus empirical coverage of the given events
-    (name -> predicate).  Per-trial substreams make the result independent of
-    execution order; threads > 1 only changes wall-clock time.
+    (name -> predicate).  Per-trial substreams make each trial independent of
+    the others in the batch.
     """
-    indices = list(range(cfg.n_trials))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(lambda i: run_trial(cfg, i), indices))
-    else:
-        trajectories = [run_trial(cfg, i) for i in indices]
+    trajectories = _simulate(cfg, range(cfg.n_trials))
 
     T = cfg.horizon
     theta_star = cfg.system.theta_star
@@ -240,11 +257,13 @@ def rpi_event(region) -> Callable[[Trajectory], bool]:
 
 def estimation_event(e_of_t: Callable[[int], float], t_from: int,
                      theta_star) -> Callable[[Trajectory], bool]:
-    """Event: |theta_hat(t) - theta*| <= e(t) for all stored t >= t_from.
+    """Event: |theta_hat(t) - theta*| <= e(t) for t_from <= t <= T - 1.
 
     Estimates are stored one step delayed (index i holds theta_hat(i-1)), so
-    theta_hat(t) sits at index t + 1; an empty index range makes the event
-    vacuously true.
+    theta_hat(t) sits at index t + 1.  The last index T is the exception: it
+    holds theta_hat(T) (see Trajectory), so the check at t = T - 1 reads
+    theta_hat(T) against e(T - 1).  An empty range of t (t_from >= T) makes
+    the event vacuously true.
     """
     def pred(tr: Trajectory) -> bool:
         errs = tr.estimate_errors(theta_star)

@@ -34,16 +34,16 @@ def sat(x, r: float):
 
 def pinv(mat) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with singular values below
-    PINV_RCOND * sigma_max treated as zero.
+    PINV_RCOND * sigma_max treated as zero.  Batched over leading axes.
     """
     arr = np.atleast_2d(np.asarray(mat, dtype=float))
     # 1xk / kx1 / 1x1 fast path: x^+ = x^T / |x|^2 (exact, avoids SVD cost
     # in the per-step policy evaluation).
-    if 1 in arr.shape:
-        norm_sq = float(np.sum(arr * arr))
-        if norm_sq == 0.0:
-            return np.zeros_like(arr.T)
-        return arr.T / norm_sq
+    if 1 in arr.shape[-2:]:
+        norm_sq = np.sum(arr * arr, axis=(-2, -1), keepdims=True)
+        out = np.zeros_like(np.swapaxes(arr, -1, -2))
+        np.divide(np.swapaxes(arr, -1, -2), norm_sq, out=out, where=norm_sq != 0.0)
+        return out
     return np.linalg.pinv(arr, rcond=PINV_RCOND)
 
 

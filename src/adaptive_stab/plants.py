@@ -20,12 +20,12 @@ from .certify import (ExcitationCertificate, LyapunovCertificate, RpiCertificate
                       estimate_policy_lipschitz, excitation_from_moments)
 from .errors import CertificationError, ContractViolation
 from .kfuncs import MonotoneFn, exp_minus_one, identity, scaled_identity
-from .linalg import pinv, reachability_matrix, sat, spectral_norm
+from .linalg import reachability_matrix, spectral_norm
 from .noise import NoiseModel
 from .regions import RegionDescriptor
 from .rng import substream
-from .system import (PolicyFamily, SystemModel, make_ce_sat_policy, split_theta,
-                     subsample_linear)
+from .system import (PolicyFamily, SystemModel, make_ce_sat_policy, policy_ce_sat,
+                     split_theta, subsample_linear)
 
 PWA_GAIN = 0.1   # fixed control gain of the piecewise-affine plant
 
@@ -146,6 +146,12 @@ def _norm_exp_v(x):
     return np.expm1(np.linalg.norm(np.atleast_1d(x), axis=-1))
 
 
+def _feedback_only(n: int, u_bar1: float):
+    """The certainty-equivalence feedback without dither, (x, theta) -> u,
+    as the policy Lipschitz scan consumes it."""
+    return lambda x, theta: policy_ce_sat(split_theta(theta, n), x, 0.0, u_bar1)
+
+
 def build_pwa(params: PwaExampleParams = PwaExampleParams(),
               seed: int = 0, lipschitz_budget: int = 4000) -> PlantBundle:
     """Piecewise-affine example: x+ = x + 0.1 1{|x| <= x_bar} u + w with
@@ -170,7 +176,7 @@ def build_pwa(params: PwaExampleParams = PwaExampleParams(),
         process_noise=NoiseModel.uniform_box([w_bar]),
         state_space=RegionDescriptor.everything(1), name="pwa")
     dither = NoiseModel.uniform_box([u2])
-    policy = make_ce_sat_policy(n=1, control_dim=1, u_bar1=u1, kappa=1,
+    policy = make_ce_sat_policy(n=1, control_dim=1, u_bar1=u1,
                                 dither=dither, name="pwa-ce-sat")
 
     cfs = ComparisonFunctionSet(
@@ -192,13 +198,8 @@ def build_pwa(params: PwaExampleParams = PwaExampleParams(),
             f"exponential noise moment h = {h:.4g} (+/- {h_se:.1e}) is not "
             f"dominated by the feedback authority 0.1*u_bar1 = {PWA_GAIN * u1:.4g}")
 
-    def feedback_only(x, theta):
-        th1, th2 = split_theta(theta, 1)
-        gain = pinv(th2) @ th1
-        return sat(-(np.atleast_1d(x) @ gain.T), u1)
-
     scan_radius = 0.5 * PWA_GAIN
-    c_lip = estimate_policy_lipschitz(feedback_only, theta_star, scan_radius,
+    c_lip = estimate_policy_lipschitz(_feedback_only(1, u1), theta_star, scan_radius,
                                       sample_budget=lipschitz_budget,
                                       x_max=10.0 * u1 / PWA_GAIN, n_split=1,
                                       seed=seed)
@@ -265,7 +266,7 @@ def build_linear(params: LinearExampleParams = LinearExampleParams(),
     # drift analyses are built around); raising the sub-sampled block to the
     # kappa-th power again destabilises the loop
     policy = make_ce_sat_policy(n=n, control_dim=kappa * m, u_bar1=u1,
-                                kappa=1, dither=dither, name="linear-ce-sat")
+                                dither=dither, name="linear-ce-sat")
 
     cfs = ComparisonFunctionSet(
         chi1=scaled_identity(1e-9, "1e-9*id"), chi2=identity(),
@@ -291,13 +292,8 @@ def build_linear(params: LinearExampleParams = LinearExampleParams(),
             f"exponential noise moment h = {h:.4g} (+/- {h_se:.1e}) is not "
             f"dominated by sigma_min(R)*u_bar1 = {authority:.4g}")
 
-    def feedback_only(x, theta):
-        th1, th2 = split_theta(theta, n)
-        gain = pinv(th2) @ th1
-        return sat(-(np.atleast_1d(x) @ gain.T), u1)
-
     scan_radius = 0.25 * sv_min
-    c_lip = estimate_policy_lipschitz(feedback_only, system.theta_star,
+    c_lip = estimate_policy_lipschitz(_feedback_only(n, u1), system.theta_star,
                                       scan_radius, sample_budget=lipschitz_budget,
                                       x_max=100.0, n_split=n, seed=seed)
     vartheta_bar = 0.9 * min((authority - h) / (r_star_norm * c_lip), scan_radius)

@@ -47,7 +47,8 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class PolicyFamily:
-    eval: Callable              # (x, s, theta) -> R^m, vectorised over leading axes
+    eval: Callable              # (x (..., n), s (..., q), theta (..., d, n)) -> (..., m),
+                                # leading axes broadcast: one theta (d, n) serves a batch
     u_max: float                # magnitude bound over all (x, s, theta)
     dither: NoiseModel          # distribution of the injected exploration noise
     name: str = "policy"
@@ -68,48 +69,45 @@ def step(sys: SystemModel, x, u, w) -> np.ndarray:
     if w.shape[-1] != sys.n:
         raise ContractViolation(f"noise has trailing dim {w.shape[-1]}, expected {sys.n}")
     psi = np.asarray(sys.basis_psi(x, u), dtype=float)
-    return np.asarray(sys.nominal_f(x, u), dtype=float) + psi @ sys.theta_star + w
+    # einsum, not matmul: a 2-D matmul's per-row result depends on the row
+    # count, and the simulator steps a whole batch of trials while
+    # verify_replay replays them one row at a time
+    return (np.asarray(sys.nominal_f(x, u), dtype=float)
+            + np.einsum("...d,dk->...k", psi, sys.theta_star) + w)
 
 
 def split_theta(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a (n + km) x n parameter into the (n x n, n x km) policy blocks."""
+    """Split a (..., n + km, n) parameter into the (..., n, n) and
+    (..., km, n) policy blocks, transposed."""
     th = np.atleast_2d(np.asarray(theta, dtype=float))
-    if th.shape[0] <= n:
+    if th.shape[-2] <= n:
         raise ContractViolation(
-            f"parameter has {th.shape[0]} rows, need more than n={n} to split")
-    return th[:n, :].T, th[n:, :].T
+            f"parameter has {th.shape[-2]} rows, need more than n={n} to split")
+    return np.swapaxes(th[..., :n, :], -1, -2), np.swapaxes(th[..., n:, :], -1, -2)
 
 
-def policy_ce_sat(theta_split, x, s, u_bar1: float, kappa: int = 1) -> np.ndarray:
+def policy_ce_sat(theta_split, x, s, u_bar1: float) -> np.ndarray:
     """Saturated certainty-equivalence feedback plus dither:
-    sat_{u_bar1}(-theta2^+ theta1^kappa x) + s.  Batched over leading axes.
+    sat_{u_bar1}(-theta2^+ theta1 x) + s.  Batched over leading axes of the
+    state, the dither and the parameter blocks alike.
     """
     if u_bar1 <= 0:
         raise ContractViolation(f"u_bar1 must be positive, got {u_bar1}")
-    if kappa < 1:
-        raise ContractViolation(f"kappa must be >= 1, got {kappa}")
     th1, th2 = theta_split
-    th1 = np.atleast_2d(np.asarray(th1, dtype=float))
-    th2 = np.atleast_2d(np.asarray(th2, dtype=float))
-    pow1 = th1 if kappa == 1 else np.linalg.matrix_power(th1, kappa)
-    gain = pinv(th2) @ pow1                                 # (km) x n
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    fb = -(x @ gain.T) if x.ndim else -(gain[:, 0] * x)
-    return sat(fb, u_bar1) + s
+    gain = pinv(th2) @ np.asarray(th1, dtype=float)          # (..., km, n)
+    # einsum keeps each row's result independent of the batch size
+    fb = -np.einsum("...kn,...n->...k", gain, np.asarray(x, dtype=float))
+    return sat(fb, u_bar1) + np.asarray(s, dtype=float)
 
 
-def make_ce_sat_policy(n: int, control_dim: int, u_bar1: float, kappa: int,
+def make_ce_sat_policy(n: int, control_dim: int, u_bar1: float,
                        dither: NoiseModel, name: str = "ce-sat") -> PolicyFamily:
     """PolicyFamily wrapper around policy_ce_sat for a d = n + control_dim basis."""
     if dither.dim != control_dim:
         raise ContractViolation("dither dimension must match the control dimension")
 
     def _eval(x, s, theta):
-        # inline split (run on every simulation step)
-        th1 = theta[:n, :].T
-        th2 = theta[n:, :].T
-        return policy_ce_sat((th1, th2), x, s, u_bar1, kappa)
+        return policy_ce_sat(split_theta(theta, n), x, s, u_bar1)
 
     u_max = u_bar1 + dither.support.max_norm()
     return PolicyFamily(eval=_eval, u_max=float(u_max), dither=dither, name=name)
@@ -171,7 +169,12 @@ class Trajectory:
     """One closed-loop rollout.  Arrays are indexed so that states[t] = X(t),
     controls[t] = U(t), dithers[t] = S(t), noises[t] = W(t+1),
     regressors[t] = Z(t+1) = psi(X(t), U(t)), and estimates[t] = the value
-    used at time t, i.e. theta_hat(t-1) (estimates[T] is theta_hat(T-1)).
+    used at time t, i.e. theta_hat(t-1), the ridge solution over the first
+    t-1 transitions (rows 0 and 1 both hold the initial guess).  The last row
+    is the exception: estimates[T] is theta_hat(T), the solution over all T
+    transitions, because the final transition is ingested before it is
+    stored.  A diverged trial is cut at diverged_at, and its last estimate
+    row is left at zero.
     """
 
     states: np.ndarray

@@ -63,7 +63,8 @@ def test_acceptance_1_figure_reproduction(pwa_bundle, timed_paper_ensemble):
     b_ok = bool(np.all(med[100:] <= 2.0) and np.all(q90[100:] <= 2.0))
 
     # median estimation error at the end of the run; the last stored estimate
-    # is theta_hat(horizon - 1).  [DERIVED] pilot: ~0.021
+    # is theta_hat(horizon), the solution over all horizon transitions.
+    # [DERIVED] pilot: ~0.021
     final_err = stats.est_err_quantiles[0.5][-1]
     c_ok = final_err < 0.05
 

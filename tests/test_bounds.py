@@ -224,10 +224,10 @@ class TestCondition:
 
     def test_boundary_inclusive(self):
         ok, _ = B._condition_verdict(make_inputs(), 0.1, [0.5],
-                                     B.SearchResult(10, "exact"), 11.0, 4)
+                                     B.SearchResult(10, "exact"), 11.0)
         assert ok
         bad, _ = B._condition_verdict(make_inputs(), 0.1, [0.5],
-                                      B.SearchResult(11, "exact"), 11.0, 4)
+                                      B.SearchResult(11, "exact"), 11.0)
         assert not bad
 
     def test_enlarging_region_never_flips_true_to_false(self):

@@ -85,13 +85,44 @@ class TestSimulate:
         assert (out1 / "ensemble.csv").read_bytes() == \
             (out2 / "ensemble.csv").read_bytes()
 
-    def test_threads_identical_output(self, pwa_config, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", pwa_config, "--out", str(out1)]) == 0
-        assert main(["simulate", pwa_config, "--threads", "3",
-                     "--out", str(out2)]) == 0
-        assert (out1 / "ensemble.csv").read_bytes() == \
-            (out2 / "ensemble.csv").read_bytes()
+    def test_empty_estimation_event_not_reported(self, pwa_config, tmp_path,
+                                                 capsys):
+        """No burn-in time below the horizon: the estimation and joint events
+        are empty, so their coverage is left out instead of reading 1.000."""
+        out = tmp_path / "out"
+        assert main(["simulate", pwa_config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["stats"]["coverages"]) == {"rpi_invariance"}
+        printed = capsys.readouterr().out
+        assert "coverage[estimation_bound], coverage[joint]: not reported" in printed
+        assert "coverage[joint] =" not in printed
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("config", ["pwa_config", "linear_config"])
+def test_every_json_artifact_is_strict_json(config, tmp_path, request):
+    """Every command writes standard JSON: infinities appear as "inf"."""
+    path = request.getfixturevalue(config)
+    sweep = ["--param", "x_bar", "--values", "100,1000"] if config == "pwa_config" \
+        else ["--param", "u_bar1", "--values", "0.8,0.9"]
+    commands = {
+        "simulate": ["--trials", "2"],
+        "certify": ["--samples", "2000"],
+        "bounds": ["--cap", "20000", "--horizon", "50"],
+        "sweep": sweep + ["--cap", "20000"],
+    }
+    for command, extra in commands.items():
+        out = tmp_path / command
+        assert main([command, path, "--out", str(out)] + extra) in (0, 4)
+        written = sorted(out.glob("*.json"))
+        assert written
+        for artifact in written:
+            _strict_json(artifact.read_text())
 
 
 class TestCertify:

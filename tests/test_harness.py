@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptive_stab.errors import ContractViolation
+from adaptive_stab.estimator import batch_solve
 from adaptive_stab.harness import (ExperimentConfig, coverage,
                                    estimation_event, gramian_min_eigen_series,
                                    quantile_series, rpi_event, run_ensemble,
@@ -9,14 +10,14 @@ from adaptive_stab.harness import (ExperimentConfig, coverage,
 from adaptive_stab.noise import NoiseModel
 from adaptive_stab.plants import build_pwa
 from adaptive_stab.regions import RegionDescriptor
-from adaptive_stab.system import PolicyFamily, make_ce_sat_policy
+from adaptive_stab.system import PolicyFamily, make_ce_sat_policy, verify_replay
 
 
 def noiseless_pwa_cfg(theta0, x0, horizon=50):
     from dataclasses import replace
     b = build_pwa()
     sys = replace(b.system, process_noise=NoiseModel.point_mass([0.0]))
-    policy = make_ce_sat_policy(1, 1, 0.9, 1, NoiseModel.point_mass([0.0]))
+    policy = make_ce_sat_policy(1, 1, 0.9, NoiseModel.point_mass([0.0]))
     return ExperimentConfig(system=sys, policy=policy, gamma=1e-4,
                             x0=np.atleast_1d(x0), horizon=horizon, n_trials=1,
                             base_seed=0, vartheta0=theta0)
@@ -66,6 +67,30 @@ class TestRunTrial:
         assert np.array_equal(tr.estimates[0], cfg.vartheta0)
         assert np.array_equal(tr.estimates[1], cfg.vartheta0)
         assert not np.array_equal(tr.estimates[2], cfg.vartheta0)
+
+    def test_estimate_rows_against_batch_solve(self, pwa_bundle):
+        """Rows 0 and 1 hold the initial guess, row t < T the ridge solution
+        over the first t-1 transitions, and the last row the solution over
+        all T transitions (the final transition is ingested before it is
+        stored)."""
+        T = 30
+        cfg = ExperimentConfig(system=pwa_bundle.system, policy=pwa_bundle.policy,
+                               gamma=pwa_bundle.gamma, x0=pwa_bundle.x0,
+                               horizon=T, n_trials=1, base_seed=3,
+                               vartheta0=np.array([[0.5], [0.05]]))
+        tr = run_trial(cfg, 0)
+        zs, res = tr.regressors, tr.states[1:]      # nominal map is zero
+        assert np.array_equal(tr.estimates[0], cfg.vartheta0)
+        assert np.array_equal(tr.estimates[1], cfg.vartheta0)
+        for t in range(2, T):
+            assert np.allclose(tr.estimates[t],
+                               batch_solve(cfg.gamma, zs[: t - 1], res[: t - 1]),
+                               rtol=1e-9, atol=1e-12)
+        assert np.allclose(tr.estimates[T], batch_solve(cfg.gamma, zs, res),
+                           rtol=1e-9, atol=1e-12)
+        assert not np.allclose(tr.estimates[T],
+                               batch_solve(cfg.gamma, zs[:-1], res[:-1]),
+                               rtol=1e-9, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_flagged_and_truncated(self):
@@ -147,21 +172,60 @@ class TestEnsemble:
         assert np.allclose(stats.abs_x_quantiles[0.5], tr.abs_states())
         assert np.allclose(stats.abs_x_quantiles[0.9], tr.abs_states())
 
+    @pytest.mark.parametrize("plant", ["pwa_bundle", "linear_bundle"])
+    def test_batch_rows_match_single_trials(self, plant, request):
+        """Stepping trials together changes no trial's bits: each member of
+        the ensemble equals its run_trial and replays exactly."""
+        b = request.getfixturevalue(plant)
+        cfg = ExperimentConfig(system=b.system, policy=b.policy, gamma=b.gamma,
+                               x0=b.x0, horizon=120, n_trials=5, base_seed=8)
+        _, trs = run_ensemble(cfg, keep_trajectories=True)
+        for i, tr in enumerate(trs):
+            one = run_trial(cfg, i)
+            for name in ("states", "controls", "estimates", "regressors"):
+                assert np.array_equal(getattr(tr, name), getattr(one, name))
+            assert verify_replay(b.system, tr)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_trials_leave_the_batch(self):
+        """Trials that diverge stop updating while the rest run on: each one
+        is cut at its own step, matches its run_trial, and its tail reads
+        inf in the quantiles."""
+        from adaptive_stab.system import SystemModel
+        plant = SystemModel(
+            n=1, m=1, d=1, q=1,
+            nominal_f=lambda x, u: np.zeros(np.shape(x)),
+            basis_psi=lambda x, u: np.asarray(x, float) + np.asarray(u, float),
+            theta_star=np.array([[1.0]]),
+            process_noise=NoiseModel.point_mass([0.0]),
+            state_space=RegionDescriptor.everything(1))
+        # x+ = s while x <= 0.99, and x+ = 4x (divergence) once the dither
+        # has pushed the state above 0.99
+        policy = PolicyFamily(
+            eval=lambda x, s, th: np.where(x > 0.99, 3.0 * x, s - x),
+            u_max=np.inf, dither=NoiseModel.uniform_box([1.0]))
+        cfg = ExperimentConfig(system=plant, policy=policy, gamma=1e-4,
+                               x0=[0.0], horizon=150, n_trials=8, base_seed=1)
+        stats, trs = run_ensemble(cfg, quantiles=(0.0, 1.0),
+                                  keep_trajectories=True)
+        diverged = [i for i, tr in enumerate(trs) if tr.diverged]
+        assert 0 < len(diverged) < cfg.n_trials
+        assert stats.diverged_trials == diverged
+        for i, tr in enumerate(trs):
+            one = run_trial(cfg, i)
+            assert tr.diverged_at == one.diverged_at
+            assert np.array_equal(tr.states, one.states)
+            assert np.array_equal(tr.estimates, one.estimates)
+        first = min(trs[i].diverged_at for i in diverged)
+        assert np.isinf(stats.abs_x_quantiles[1.0][first + 1:]).all()
+        assert np.isfinite(stats.abs_x_quantiles[0.0]).all()
+
     def test_median_below_q90(self, pwa_bundle):
         cfg = ExperimentConfig(system=pwa_bundle.system, policy=pwa_bundle.policy,
                                gamma=pwa_bundle.gamma, x0=pwa_bundle.x0,
                                horizon=100, n_trials=12, base_seed=6)
         stats = run_ensemble(cfg)
         assert np.all(stats.abs_x_quantiles[0.5] <= stats.abs_x_quantiles[0.9])
-
-    def test_thread_pool_matches_sequential(self, pwa_bundle):
-        cfg = ExperimentConfig(system=pwa_bundle.system, policy=pwa_bundle.policy,
-                               gamma=pwa_bundle.gamma, x0=pwa_bundle.x0,
-                               horizon=60, n_trials=6, base_seed=8)
-        seq = run_ensemble(cfg)
-        par = run_ensemble(cfg, threads=4)
-        assert np.array_equal(seq.abs_x_quantiles[0.5], par.abs_x_quantiles[0.5])
-        assert np.array_equal(seq.est_err_quantiles[0.9], par.est_err_quantiles[0.9])
 
 
 def test_gramian_series_matches_estimator(pwa_bundle):

@@ -31,19 +31,19 @@ class TestPolicyCeSat:
     def test_paper_gain(self):
         theta = np.array([[1.0], [0.1]])
         out = policy_ce_sat(split_theta(theta, 1), np.array([0.05]),
-                            np.array([0.0]), 0.9, 1)
+                            np.array([0.0]), 0.9)
         assert out == pytest.approx([-0.5])
 
     def test_zero_state(self):
         theta = np.array([[2.0], [0.3]])
         out = policy_ce_sat(split_theta(theta, 1), np.array([0.0]),
-                            np.array([0.0]), 0.9, 1)
+                            np.array([0.0]), 0.9)
         assert out == pytest.approx([0.0])
 
     def test_zero_input_block_returns_dither(self):
         theta = np.array([[1.0], [0.0]])
         out = policy_ce_sat(split_theta(theta, 1), np.array([5.0]),
-                            np.array([0.25]), 0.9, 1)
+                            np.array([0.25]), 0.9)
         assert out == pytest.approx([0.25])
 
     def test_saturation_magnitude_bound(self, pwa_bundle):
@@ -145,7 +145,7 @@ def test_noiseless_mis_specified_estimate_contracts():
     # rebuild system/policy with degenerate noise
     from dataclasses import replace
     noiseless = replace(sys0, process_noise=NoiseModel.point_mass([0.0]))
-    policy = make_ce_sat_policy(1, 1, params.u_bar1, 1,
+    policy = make_ce_sat_policy(1, 1, params.u_bar1,
                                 NoiseModel.point_mass([0.0]))
     vb = bundle.rpi.vartheta_bar
     theta0 = sys0.theta_star + vb * np.array([[0.6], [0.8]])
