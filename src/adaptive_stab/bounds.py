@@ -7,13 +7,18 @@ Two search regimes coexist:
 
 * dense: exact chunked linear scans up to a user cap, matching a brute-force
   oracle step for step (the default, and the only mode tests compare against
-  an oracle);
+  an oracle); a cap so far below the burn-in time that the predicate fails
+  at the cap even with the smallest cumulative sum possible is refuted in
+  O(1), without a scan;
 * certified-upper: when the exact search's cap is hopelessly below the true
   time (realistic configurations certify times around 1e9..1e17), a
   conservative mode replaces cumulative sums by the dominating bound
   sum_{i<=t} f(i) <= t*f(t) (f non-decreasing) and certifies the "for all
   t >= T" quantifier on geometric probe brackets.  Results are flagged and
   are valid upper bounds, never claimed minimal.
+
+A BoundAnalysis runs these searches at most once per delta for one
+(inputs, x0, cap) and serves the schedule, the condition and the envelope.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ DENSE_CHUNK = 1_000_000
 DENSE_LIMIT = 50_000_000          # largest cap the exact scans will attempt
 PROBE_GROWTH = 1.05               # geometric probe spacing for bracket proofs
 LAMBDA_FLOOR = 1e-30              # early exit for lambda-map iterates
+REFUTE_LOG_Q = -1.0               # margin of the O(1) burn-in cap refutation
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,13 @@ class BoundInputs:
             y = 16.0 * s_cum / (self.c_pe * self.p_pe * (t_arr - 1.0))
         return a * self.d * np.log1p(y)
 
+    def _burn_in_log_q(self, t_arr, s_cum, delta):
+        """log q(t): the predicate at t holds for a burn-in T exactly when
+        T >= r(t) = t + 1 - q(t).  Non-increasing in s_cum."""
+        m = t_arr - 1.0 - self._burn_in_base(t_arr, s_cum)
+        return 0.5 * (m / self._burn_in_prefactor()
+                      + math.log(2.0 * delta / math.pi ** 2))
+
     def _burn_in_penalty(self, t_arr, T, delta):
         a = self._burn_in_prefactor()
         return a * np.log(math.pi ** 2 * (t_arr - T + 1.0) ** 2 / (2.0 * delta))
@@ -219,7 +232,8 @@ def _zsq_chunk(inputs: BoundInputs, delta3: float, x0, lo: int, hi: int) -> np.n
 def burn_in_time(inputs: BoundInputs, delta: float, x0, cap: int) -> SearchResult:
     """Smallest T <= cap such that the persistency-of-excitation onset
     predicate holds for every t in [T, cap], with a slack-monotonicity
-    witness at the cap.  Exact chunked linear scan.
+    witness at the cap.  Exact chunked linear scan, skipped when an O(1)
+    bound already rules out every T <= cap.
     """
     if not 0.0 < delta < 1.0:
         raise ContractViolation("delta must be in (0,1)")
@@ -229,8 +243,18 @@ def burn_in_time(inputs: BoundInputs, delta: float, x0, cap: int) -> SearchResul
     if cap > DENSE_LIMIT:
         raise ContractViolation(f"dense burn-in scan capped at {DENSE_LIMIT}")
     delta3 = delta / 3.0
-    a_pre = inputs._burn_in_prefactor()
-    log_c = math.log(2.0 * delta / math.pi ** 2)
+
+    # refutation: a T <= cap needs cap >= r(cap), i.e. q(cap) >= 1.  q falls
+    # as s_cum grows, and s_cum(cap) >= cap z_bar(1)^2 since z_bar is
+    # non-decreasing, so q at that smaller sum bounds q(cap) from above.
+    t_cap = np.array([float(cap)])
+    s_low = t_cap * inputs.z_bar_sq(1.0, delta3, x0)
+    log_q_upper = float(inputs._burn_in_log_q(t_cap, s_low, delta)[0])
+    if log_q_upper < REFUTE_LOG_Q:
+        return SearchResult(None, "not-found",
+                            {"cap": cap, "reason": "refuted: q(cap) < 1 by the "
+                             "lower bound s_cum(cap) >= cap z_bar(1)^2",
+                             "log_q_upper": log_q_upper})
 
     # forward pass: cumulative sum checkpoints at chunk boundaries
     checkpoints = {0: 0.0}
@@ -247,8 +271,7 @@ def burn_in_time(inputs: BoundInputs, delta: float, x0, cap: int) -> SearchResul
         zsq = _zsq_chunk(inputs, delta3, x0, lo, hi)
         s_cum = np.cumsum(zsq) + checkpoints[lo - 1]
         t_arr = np.arange(lo, hi + 1, dtype=float)
-        m = t_arr - 1.0 - inputs._burn_in_base(t_arr, s_cum)
-        log_q = 0.5 * (m / a_pre + log_c)
+        log_q = inputs._burn_in_log_q(t_arr, s_cum, delta)
         q = np.exp(np.minimum(log_q, 700.0))
         r = t_arr + 1.0 - q
         run = np.maximum.accumulate(r[::-1])[::-1]
@@ -536,14 +559,91 @@ class BoundSchedule:
         }
 
 
+class BoundAnalysis:
+    """The characteristic-time searches of one (inputs, x0, cap), each run at
+    most once per delta and shared by compute_schedule, check_condition and
+    stability_envelope.
+
+    The dense searches run on the first use of a delta; the certified
+    conservative searches run only when the dense converge search comes up
+    empty and the caller allows the conservative mode.
+    """
+
+    def __init__(self, inputs: BoundInputs, x0, cap: int):
+        self.inputs = inputs
+        self.x0 = x0
+        self.cap = int(cap)
+        self._memo: dict = {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def dense(self, delta: float) -> tuple[SearchResult, SearchResult]:
+        """Exact burn-in and converge results at delta (dense scans)."""
+        def run():
+            burn = burn_in_time(self.inputs, delta, self.x0, self.cap)
+            return burn, converge_time(self.inputs, delta, self.x0, self.cap,
+                                       burn_in=burn)
+        return self._once(("dense", delta), run)
+
+    def certified(self, delta: float) -> tuple[SearchResult, SearchResult]:
+        """Certified upper bounds on the burn-in and converge times at delta."""
+        def run():
+            burn_ub = certified_burn_in_upper(self.inputs, delta, self.x0)
+            return burn_ub, certified_converge_upper(self.inputs, delta, self.x0,
+                                                     burn_in_ub=burn_ub)
+        return self._once(("certified", delta), run)
+
+    def contained(self, delta: float) -> float:
+        return self._once(("contained", delta),
+                          lambda: contained_time(self.inputs, delta, self.x0))
+
+    def times(self, delta: float, conservative: bool = True
+              ) -> tuple[SearchResult, SearchResult]:
+        """Burn-in and converge results at delta: the exact minima, replaced
+        by the certified upper bounds that exist when the dense converge
+        search comes up empty and conservative mode is allowed."""
+        burn, conv = self.dense(delta)
+        if not conv.found and conservative:
+            burn_ub, conv_ub = self.certified(delta)
+            if burn_ub.found and not burn.found:
+                burn = burn_ub
+            if conv_ub.found:
+                conv = conv_ub
+        return burn, conv
+
+    def verdict(self, delta: float, conservative: bool = True) -> tuple[bool, str]:
+        """The theorem condition T_converge + 1 <= T_contained at delta."""
+        return self._once(("verdict", delta, conservative), lambda: _condition_verdict(
+            self.inputs, delta, self.x0, self.times(delta, conservative)[1],
+            self.contained(delta)))
+
+
+def _analysis(inputs: BoundInputs, x0, cap: int,
+              analysis: Optional[BoundAnalysis]) -> BoundAnalysis:
+    if analysis is None:
+        return BoundAnalysis(inputs, x0, cap)
+    if (analysis.inputs is not inputs or analysis.cap != int(cap)
+            or not np.array_equal(np.asarray(analysis.x0, dtype=float),
+                                  np.asarray(x0, dtype=float))):
+        raise ContractViolation("the bound analysis was built for other "
+                                "inputs, x0 or cap")
+    return analysis
+
+
 def compute_schedule(inputs: BoundInputs, delta: float, x0, horizon: int,
-                     cap: int, allow_conservative: bool = True) -> BoundSchedule:
-    """Evaluate every bound sequence up to the horizon and run the time
-    searches up to the cap; falls back to certified upper bounds when the
-    exact scans come up empty and conservative mode is allowed.
+                     cap: int, allow_conservative: bool = True,
+                     analysis: Optional[BoundAnalysis] = None) -> BoundSchedule:
+    """Evaluate every bound sequence up to the horizon and read the time
+    searches up to the cap from the analysis (a fresh one if none is given);
+    falls back to certified upper bounds when the exact scans come up empty
+    and conservative mode is allowed.
     """
     if horizon < 1 or horizon > DENSE_LIMIT:
         raise ContractViolation(f"horizon must be in [1, {DENSE_LIMIT}]")
+    analysis = _analysis(inputs, x0, cap, analysis)
     delta3 = delta / 3.0
     t_full = np.arange(0, horizon + 1, dtype=float)
     w = inputs.w_bar(t_full, delta3)
@@ -553,22 +653,12 @@ def compute_schedule(inputs: BoundInputs, delta: float, x0, horizon: int,
     beta = np.cumsum(np.square(zb)) + inputs.gamma
     e = inputs.error_from_beta(t_pos, delta, beta)
 
-    burn = burn_in_time(inputs, delta, x0, cap)
-    conv = converge_time(inputs, delta, x0, cap, burn_in=burn)
-    t_cont = contained_time(inputs, delta, x0)
-    if not conv.found and allow_conservative:
-        burn_ub = certified_burn_in_upper(inputs, delta, x0)
-        conv_ub = certified_converge_upper(inputs, delta, x0, burn_in_ub=burn_ub)
-        if burn_ub.found and not burn.found:
-            burn = burn_ub
-        if conv_ub.found:
-            conv = conv_ub
-
-    ok, reason = _condition_verdict(inputs, delta, x0, conv, t_cont)
+    burn, conv = analysis.times(delta, allow_conservative)
+    ok, reason = analysis.verdict(delta, allow_conservative)
     return BoundSchedule(delta=delta, x0=np.atleast_1d(np.asarray(x0, dtype=float)),
                          horizon=horizon, cap=cap, t=t_full, w_bar=w, x_bar=xb,
                          z_bar=zb, beta_max=beta, e=e, T_burn_in=burn,
-                         T_contained=t_cont, T_converge=conv,
+                         T_contained=analysis.contained(delta), T_converge=conv,
                          condition_ok=ok, condition_reason=reason)
 
 
@@ -599,21 +689,17 @@ def _condition_verdict(inputs: BoundInputs, delta: float, x0,
                    "(conservative refusal)")
 
 
-def check_condition(inputs: BoundInputs, delta: float, x0, cap: int) -> dict:
+def check_condition(inputs: BoundInputs, delta: float, x0, cap: int,
+                    analysis: Optional[BoundAnalysis] = None) -> dict:
     """Report the theorem condition at delta and at delta/2 (stability variant)."""
+    analysis = _analysis(inputs, x0, cap, analysis)
     out = {}
     for label, dlt in (("delta", delta), ("delta/2", delta / 2.0)):
-        burn = burn_in_time(inputs, dlt, x0, cap)
-        conv = converge_time(inputs, dlt, x0, cap, burn_in=burn)
-        t_cont = contained_time(inputs, dlt, x0)
-        if not conv.found:
-            conv_ub = certified_converge_upper(inputs, dlt, x0)
-            if conv_ub.found:
-                conv = conv_ub
-        ok, reason = _condition_verdict(inputs, dlt, x0, conv, t_cont)
+        _, conv = analysis.times(dlt)
+        ok, reason = analysis.verdict(dlt)
         out[label] = {"ok": ok, "reason": reason,
                       "T_converge": conv.value, "T_converge_mode": conv.mode,
-                      "T_contained": t_cont}
+                      "T_contained": analysis.contained(dlt)}
     return out
 
 
@@ -774,7 +860,8 @@ def _inv_vec(fn: MonotoneFn, arr: np.ndarray) -> np.ndarray:
 
 def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
                        horizon: int, cap: int, e_scale: float = 1.0,
-                       beta2_window: tuple[int, int] = (0, 0)) -> StabilityEnvelope:
+                       beta2_window: tuple[int, int] = (0, 0),
+                       analysis: Optional[BoundAnalysis] = None) -> StabilityEnvelope:
     """Construct (eta, c2) for the probabilistic stability bound at level
     delta.  Requires the delta/2 variant of the theorem condition; refuses
     with a diagnostic otherwise.
@@ -802,20 +889,15 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
     c2 = alpha1.inv(two_over_delta * gamma_tilde(2.0 * d_tilde)) if d_tilde > 0 else 0.0
 
     # locate T0 = T_converge(delta/2, x0), exactly if the cap allows
-    burn = burn_in_time(inputs, d2, x0, cap)
-    conv = converge_time(inputs, d2, x0, cap, burn_in=burn)
-    t_cont = contained_time(inputs, d2, x0)
-    mode = "dense"
-    if conv.found:
-        t0 = conv.value
-    else:
-        conv_ub = certified_converge_upper(inputs, d2, x0)
-        if not conv_ub.found:
-            raise CertificationError(
-                "converge time could not be certified even conservatively: "
-                f"{conv_ub.diagnostics}")
-        t0 = conv_ub.value
-        mode = "conservative"
+    analysis = _analysis(inputs, x0, cap, analysis)
+    _, conv = analysis.times(d2)
+    t_cont = analysis.contained(d2)
+    if not conv.found:
+        raise CertificationError(
+            "converge time could not be certified even conservatively: "
+            f"{analysis.certified(d2)[1].diagnostics}")
+    t0 = conv.value
+    mode = "dense" if conv.mode == "exact" else "conservative"
     if not math.isinf(t_cont) and t0 + 1 > t_cont:
         raise CertificationError(
             f"stability condition fails at delta/2: T_converge {t0:g} + 1 > "

@@ -203,8 +203,9 @@ def cmd_bounds(args) -> int:
     horizon = int(args.horizon or cfg.get("horizon", 10_000))
     cap = int(args.cap)
     x0 = bundle.x0
-    schedule = bnd.compute_schedule(inputs, delta, x0, horizon, cap)
-    condition = bnd.check_condition(inputs, delta, x0, cap)
+    analysis = bnd.BoundAnalysis(inputs, x0, cap)
+    schedule = bnd.compute_schedule(inputs, delta, x0, horizon, cap, analysis=analysis)
+    condition = bnd.check_condition(inputs, delta, x0, cap, analysis=analysis)
     os.makedirs(args.out, exist_ok=True)
 
     eta = None
@@ -212,7 +213,7 @@ def cmd_bounds(args) -> int:
     if condition["delta/2"]["ok"]:
         try:
             env = bnd.stability_envelope(inputs, bundle.lyapunov, delta, x0,
-                                         horizon, cap)
+                                         horizon, cap, analysis=analysis)
             eta = env.eta_values
             envelope_dict = env.to_dict()
         except CertificationError as exc:
@@ -260,9 +261,10 @@ def cmd_sweep(args) -> int:
         except ConfigError:
             raise
         inputs = bundle.bound_inputs()
-        condition = bnd.check_condition(inputs, delta, bundle.x0, cap)
+        analysis = bnd.BoundAnalysis(inputs, bundle.x0, cap)
+        condition = bnd.check_condition(inputs, delta, bundle.x0, cap, analysis=analysis)
         rep, rep2 = condition["delta"], condition["delta/2"]
-        burn = bnd.burn_in_time(inputs, delta, bundle.x0, cap)
+        burn, _ = analysis.dense(delta)   # the column reports the exact burn-in
         rows.append((value, burn.value, rep["T_contained"], rep["T_converge"],
                      rep["T_converge_mode"], rep["ok"], rep2["ok"]))
         print(f"{args.param}={value:g}: condition(delta)="

@@ -174,7 +174,7 @@ class Trajectory:
     is the exception: estimates[T] is theta_hat(T), the solution over all T
     transitions, because the final transition is ingested before it is
     stored.  A diverged trial is cut at diverged_at, and its last estimate
-    row is left at zero.
+    row is left at zero (estimate_errors reads it as inf).
     """
 
     states: np.ndarray
@@ -196,9 +196,16 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=-1)
 
     def estimate_errors(self, theta_star) -> np.ndarray:
-        """Spectral-norm estimation error per stored estimate."""
+        """Spectral-norm estimation error per stored estimate.  A non-finite
+        estimate, and the never-computed last row of a diverged trial, read
+        as an infinite error."""
         diff = self.estimates - np.asarray(theta_star, dtype=float)[None, :, :]
-        return np.linalg.norm(diff, ord=2, axis=(1, 2))
+        finite = np.all(np.isfinite(diff), axis=(1, 2))
+        if self.diverged:
+            finite[-1] = False
+        out = np.full(len(diff), np.inf)
+        out[finite] = np.linalg.norm(diff[finite], ord=2, axis=(1, 2))
+        return out
 
 
 def verify_replay(sys: SystemModel, traj: Trajectory, atol: float = 0.0) -> bool:

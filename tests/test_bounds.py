@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_stab import bounds as B
 from adaptive_stab import kfuncs as K
@@ -126,8 +128,11 @@ class TestErrorEnvelope:
         assert np.allclose(e ** 2 * denom_sq, num ** 2, rtol=1e-12)
 
 
-def oracle_burn_in(inp, delta, x0, cap):
-    """Literal double-loop search over the printed predicate."""
+def oracle_burn_in(inp, delta, x0, cap, witness=False):
+    """Literal double-loop search over the printed predicate.  With witness,
+    a T is kept only when the predicate's slack does not decrease over the
+    last three t up to the cap, the evidence burn_in_time asks for before it
+    reports a T as holding beyond the cap."""
     d3 = delta / 3.0
     t = np.arange(1, cap + 1, dtype=float)
     zsq = inp.z_bar_sq(t, d3, x0)
@@ -138,8 +143,18 @@ def oracle_burn_in(inp, delta, x0, cap):
     for T in range(1, cap + 1):
         pen = a * np.log(math.pi ** 2 * (t[T - 1:] - T + 1.0) ** 2 / (2.0 * delta))
         if np.all(t[T - 1:] >= base[T - 1:] + pen + 1.0):
-            return T
-    return None
+            break
+    else:
+        return None
+    if witness:
+        probe = [max(T, cap - 2), max(T, cap - 1), cap]
+        slack = [tv - 1.0 - a * inp.d * math.log1p(
+                     16.0 * float(np.sum(zsq[:tv])) / (inp.c_pe * inp.p_pe * (tv - 1.0)))
+                 - a * math.log(math.pi ** 2 * (tv - T + 1.0) ** 2 / (2.0 * delta))
+                 for tv in probe]
+        if not np.all(np.diff(slack) >= 0.0):
+            return None
+    return T
 
 
 class TestSearches:
@@ -216,6 +231,50 @@ class TestSearches:
         assert cu.found and cu.value >= cv.value
 
 
+class TestRefutation:
+    """The O(1) refutation of a hopeless cap never changes a search result."""
+
+    @staticmethod
+    def refuted(result):
+        return "log_q_upper" in result.diagnostics
+
+    def test_matches_oracle_around_threshold_and_burn_in(self):
+        inp = make_inputs()
+        T = oracle_burn_in(inp, 0.1, [0.5], 3000)
+        # largest cap the bound refutes: from there on the dense scan runs
+        c_r = 1
+        while self.refuted(B.burn_in_time(inp, 0.1, [0.5], c_r + 1)):
+            c_r += 1
+        assert self.refuted(B.burn_in_time(inp, 0.1, [0.5], c_r))
+        for cap in (c_r - 1, c_r, c_r + 1, T - 1, T, T + 1, 2 * T):
+            got = B.burn_in_time(inp, 0.1, [0.5], cap)
+            assert got.value == oracle_burn_in(inp, 0.1, [0.5], cap, witness=True)
+            assert self.refuted(got) == (cap <= c_r)
+        assert B.burn_in_time(inp, 0.1, [0.5], 2 * T).value == T
+
+    @given(slope=st.floats(1e-3, 0.5), u_max=st.floats(0.05, 1.0),
+           sigma_w=st.floats(0.0, 0.1), d=st.integers(1, 3),
+           c_pe=st.floats(0.1, 2.0), p_pe=st.floats(0.05, 0.25),
+           delta=st.floats(0.01, 0.5), x0=st.floats(0.0, 2.0),
+           cap=st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_oracle(self, slope, u_max, sigma_w, d, c_pe, p_pe,
+                                     delta, x0, cap):
+        inp = make_inputs(cfs=simple_cfs(chi3=K.scaled_identity(slope)),
+                          u_max=u_max, sigma_w=sigma_w, d=d, c_pe=c_pe, p_pe=p_pe)
+        got = B.burn_in_time(inp, delta, [x0], cap)
+        assert got.value == oracle_burn_in(inp, delta, [x0], cap, witness=True)
+
+    def test_hopeless_cap_refuted_without_scanning(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a dense chunk was scanned")
+        monkeypatch.setattr(B, "_zsq_chunk", no_scan)
+        got = B.burn_in_time(make_inputs(p_pe=1e-9, c_pe=1e-8), 0.1, [0.5], 2000)
+        assert got.mode == "not-found"
+        assert got.diagnostics["reason"].startswith("refuted")
+        assert got.diagnostics["log_q_upper"] < B.REFUTE_LOG_Q
+
+
 class TestCondition:
     def test_infinite_contained_is_true(self):
         inp = make_inputs(rpi_region=RegionDescriptor.everything(1))
@@ -229,6 +288,24 @@ class TestCondition:
         bad, _ = B._condition_verdict(make_inputs(), 0.1, [0.5],
                                       B.SearchResult(11, "exact"), 11.0)
         assert not bad
+
+    def test_shared_analysis_matches_fresh_calls(self):
+        inp = make_inputs()
+        analysis = B.BoundAnalysis(inp, [0.5], 2000)
+        shared = B.check_condition(inp, 0.1, [0.5], 2000, analysis=analysis)
+        sched = B.compute_schedule(inp, 0.1, [0.5], 50, 2000, analysis=analysis)
+        assert shared == B.check_condition(inp, 0.1, [0.5], 2000)
+        assert sched.to_dict() == B.compute_schedule(inp, 0.1, [0.5], 50, 2000).to_dict()
+
+    def test_analysis_for_other_inputs_rejected(self):
+        inp = make_inputs()
+        analysis = B.BoundAnalysis(inp, [0.5], 2000)
+        with pytest.raises(ContractViolation):
+            B.check_condition(make_inputs(), 0.1, [0.5], 2000, analysis=analysis)
+        with pytest.raises(ContractViolation):
+            B.check_condition(inp, 0.1, [0.5], 3000, analysis=analysis)
+        with pytest.raises(ContractViolation):
+            B.check_condition(inp, 0.1, [0.6], 2000, analysis=analysis)
 
     def test_enlarging_region_never_flips_true_to_false(self):
         verdicts = []

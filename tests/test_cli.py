@@ -238,3 +238,43 @@ class TestSweep:
             vals.append(error_envelope(1, 0.1, bundle.x0, inputs))
         assert np.allclose(vals, vals[0])
         assert vals[0] == pytest.approx(np.sqrt(1.0 + 0.01))  # |theta*|_F
+
+
+SEARCHES = ("burn_in_time", "certified_burn_in_upper", "certified_converge_upper")
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """(inputs, delta) of every call to the burn-in and certified searches."""
+    import adaptive_stab.bounds as bnd
+    calls = {name: [] for name in SEARCHES}
+    for name, log in calls.items():
+        def counted(inputs, delta, *args, _orig=getattr(bnd, name), _log=log, **kwargs):
+            _log.append((inputs, delta))   # holding inputs keeps each id unique
+            return _orig(inputs, delta, *args, **kwargs)
+        monkeypatch.setattr(bnd, name, counted)
+    return calls
+
+
+def test_each_search_runs_once_per_delta(search_calls, tmp_path):
+    """bounds and sweep build one bound analysis per bundle: the burn-in
+    search and the two certified searches run at most once per delta."""
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    pwa, linear = (os.path.join(configs, f"{name}.json") for name in ("pwa", "linear"))
+    assert main(["bounds", pwa, "--out", str(tmp_path / "pwa")]) == 0
+    assert main(["bounds", linear, "--out", str(tmp_path / "linear")]) == 0
+    assert main(["sweep", pwa, "--param", "x_bar", "--values", "300,1000,3000",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    for name, log in search_calls.items():
+        keys = [(id(inputs), delta) for inputs, delta in log]
+        assert len(keys) == len(set(keys)), name
+    # five bundles (two bounds commands, three sweep values), two deltas each
+    assert len(search_calls["burn_in_time"]) == 10
+
+
+def test_simulate_runs_no_certified_search(search_calls, pwa_config, tmp_path):
+    assert main(["simulate", pwa_config, "--trials", "1",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert len(search_calls["burn_in_time"]) == 1
+    assert not search_calls["certified_burn_in_upper"]
+    assert not search_calls["certified_converge_upper"]

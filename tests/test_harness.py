@@ -220,6 +220,39 @@ class TestEnsemble:
         assert np.isinf(stats.abs_x_quantiles[1.0][first + 1:]).all()
         assert np.isfinite(stats.abs_x_quantiles[0.0]).all()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_estimates_read_as_infinite_error(self):
+        """Collinear regressors [x, 3x] make the ridge solve non-finite while
+        the state is still below the divergence limit; those rows, and the
+        never-computed row at diverged_at, count as infinite error."""
+        from adaptive_stab.harness import DIVERGENCE_LIMIT
+        from adaptive_stab.system import SystemModel
+        plant = SystemModel(
+            n=1, m=1, d=2, q=1,
+            nominal_f=lambda x, u: np.zeros(np.shape(x)),
+            basis_psi=lambda x, u: np.concatenate([x, u], axis=-1),
+            theta_star=np.array([[1.0], [1.0]]),
+            process_noise=NoiseModel.gaussian([[0.01]]),
+            state_space=RegionDescriptor.everything(1))
+        # x+ = x + s + w while x <= 0.99, and x+ = 4x + w once above
+        policy = PolicyFamily(eval=lambda x, s, th: np.where(x > 0.99, 3.0 * x, s),
+                              u_max=np.inf, dither=NoiseModel.uniform_box([1.0]))
+        cfg = ExperimentConfig(system=plant, policy=policy, gamma=1e-2,
+                               x0=[0.0], horizon=100, n_trials=1, base_seed=1)
+        stats, (tr,) = run_ensemble(cfg, quantiles=(0.5,), keep_trajectories=True)
+        err = stats.est_err_quantiles[0.5]
+        bad = np.nonzero(~np.isfinite(tr.estimates).all(axis=(1, 2)))[0]
+        assert tr.diverged and bad.size and bad[0] < tr.diverged_at
+        assert np.abs(tr.states[bad[0]]).max() < DIVERGENCE_LIMIT
+        assert np.isinf(err[bad]).all()
+        assert np.isfinite(err[: bad[0]]).all()
+        # the row at diverged_at is never computed: zero in the trajectory,
+        # inf in the statistics, like the cut tail after it
+        assert np.array_equal(tr.estimates[tr.diverged_at], np.zeros((2, 1)))
+        assert np.isinf(err[tr.diverged_at:]).all()
+        finite_between = [t for t in range(bad[0], tr.diverged_at) if t not in bad]
+        assert np.isfinite(err[finite_between]).all()
+
     def test_median_below_q90(self, pwa_bundle):
         cfg = ExperimentConfig(system=pwa_bundle.system, policy=pwa_bundle.policy,
                                gamma=pwa_bundle.gamma, x0=pwa_bundle.x0,
