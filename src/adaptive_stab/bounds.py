@@ -36,9 +36,9 @@ from .regions import RegionDescriptor
 
 DENSE_CHUNK = 1_000_000
 DENSE_LIMIT = 50_000_000          # largest cap the exact scans will attempt
-PROBE_GROWTH = 1.05               # geometric probe spacing for bracket proofs
 LAMBDA_FLOOR = 1e-30              # early exit for lambda-map iterates
 REFUTE_LOG_Q = -1.0               # margin of the O(1) burn-in cap refutation
+BISECT_STEPS = 60                 # most geometric bisection steps of a certified search
 
 
 @dataclass(frozen=True)
@@ -231,9 +231,14 @@ def _zsq_chunk(inputs: BoundInputs, delta3: float, x0, lo: int, hi: int) -> np.n
 
 def burn_in_time(inputs: BoundInputs, delta: float, x0, cap: int) -> SearchResult:
     """Smallest T <= cap such that the persistency-of-excitation onset
-    predicate holds for every t in [T, cap], with a slack-monotonicity
-    witness at the cap.  Exact chunked linear scan, skipped when an O(1)
-    bound already rules out every T <= cap.
+    predicate holds for every t in [T, cap], reported only with a
+    slack-monotonicity witness at the cap.  Exact chunked linear scan,
+    skipped when an O(1) bound already rules out every T <= cap.
+
+    The witness is evidence that the predicate keeps holding beyond the cap,
+    so the search is conservative: when the predicate's slack decreases over
+    t = cap-2..cap the result is not-found even if such a T exists (e.g. at
+    caps just above the smallest T), never a T the predicate rejects.
     """
     if not 0.0 < delta < 1.0:
         raise ContractViolation("delta must be in (0,1)")
@@ -435,6 +440,35 @@ def _verify_burn_in_upper(inputs: BoundInputs, delta: float, x0, T: float) -> bo
     return bool(np.all(np.diff(margins[-8:]) > 0.0))
 
 
+def _bisect_verified(verify: Callable[[float], bool], lo: float, hi: float,
+                     floor: float = -math.inf) -> tuple[float, float, int]:
+    """Geometric bisection of [lo, hi], hi verified, for BISECT_STEPS steps
+    at most: a verified midpoint becomes hi, a failed one lo.  Returns the
+    final bracket and the number of verifications.
+
+    The callers return max(floor, hi), rounded up to an integer below 2^53.
+    The bisection stops as soon as no further step can change that value,
+    so it equals the value after all BISECT_STEPS steps (every later hi lies
+    in [lo, hi]): once hi <= floor; below 2^53 once ceil(lo) == ceil(hi);
+    and once the midpoint rounds to hi or to a lo that failed, since every
+    later step then repeats it.  The initial lo is not known to fail (the
+    first doubling probe may have passed), so it is verified once if the
+    midpoint rounds to it.
+    """
+    lo_failed = False
+    for step in range(BISECT_STEPS):
+        if hi <= floor or (hi < 2 ** 53 and math.ceil(lo) == math.ceil(hi)):
+            return lo, hi, step
+        mid = math.sqrt(lo * hi)
+        if mid == hi or (mid == lo and lo_failed):
+            return lo, hi, step
+        if verify(mid):
+            hi = mid
+        else:
+            lo, lo_failed = mid, True
+    return lo, hi, BISECT_STEPS
+
+
 def certified_burn_in_upper(inputs: BoundInputs, delta: float, x0,
                             t_lo: float = 2.0) -> SearchResult:
     """A certified upper bound on the burn-in time, using dominated sums and
@@ -447,15 +481,11 @@ def certified_burn_in_upper(inputs: BoundInputs, delta: float, x0,
         t *= 2.0
     else:
         return SearchResult(None, "not-found", {"reason": "no verifiable T below 1e200"})
-    lo, hi = t / 2.0, t
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if _verify_burn_in_upper(inputs, delta, x0, mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, steps = _bisect_verified(
+        lambda T: _verify_burn_in_upper(inputs, delta, x0, T), t / 2.0, t)
     value = math.ceil(hi) if hi < 2 ** 53 else hi
-    return SearchResult(value, "upper-bound", {"bracket": (lo, hi)})
+    return SearchResult(value, "upper-bound",
+                        {"bracket": (lo, hi), "bisection_steps": steps})
 
 
 def _error_num_den(inputs: BoundInputs, delta: float, x0, t_arr):
@@ -503,17 +533,14 @@ def certified_converge_upper(inputs: BoundInputs, delta: float, x0,
     else:
         return SearchResult(None, "not-found",
                             {"reason": "error envelope never certified below vartheta_bar"})
-    lo, hi = t / 2.0, t
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if _verify_error_below(inputs, delta, x0, mid, vbar):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, steps = _bisect_verified(
+        lambda T: _verify_error_below(inputs, delta, x0, T, vbar), t / 2.0, t,
+        floor=float(burn_in_ub.value))
     value = max(float(burn_in_ub.value), hi)
     value = math.ceil(value) if value < 2 ** 53 else value
     return SearchResult(value, "upper-bound",
-                        {"burn_in_ub": burn_in_ub.value, "bracket": (lo, hi)})
+                        {"burn_in_ub": burn_in_ub.value, "bracket": (lo, hi),
+                         "bisection_steps": steps})
 
 
 # ---------------------------------------------------------------------------

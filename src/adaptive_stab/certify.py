@@ -24,6 +24,7 @@ from .rng import substream
 from .system import PolicyFamily, SystemModel, step
 
 GAUSSIAN_TRUNCATION = 1.0 - 1e-6   # quantile used to truncate unbounded supports
+MOMENT_BLOCK = 256   # sample rows per projection block of the moment scan
 
 
 @dataclass
@@ -153,6 +154,30 @@ def default_theta_grid(theta_star, rng: np.random.Generator,
     return grid
 
 
+def _projection_moments(z: np.ndarray, zetas: np.ndarray,
+                        buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the rows z_i of z of |z_i . zeta_k| and (z_i . zeta_k)^2 for
+    every row zeta_k of zetas.
+
+    The first sum streams the samples through MOMENT_BLOCK-row blocks of
+    projections written into buf (MOMENT_BLOCK, K), so the block stays in
+    cache and each product is too small for BLAS to split over threads.  The
+    second is exact algebra: sum_i (z_i . zeta)^2 = zeta^T (Z^T Z) zeta, one
+    d x d Gramian instead of a pass over the projections.
+    """
+    zetas_t = np.ascontiguousarray(zetas.T)    # BLAS is slower on the transposed view
+    ones = np.ones(MOMENT_BLOCK)
+    abs_sum = np.zeros(zetas.shape[0])
+    for lo in range(0, len(z), MOMENT_BLOCK):
+        rows = z[lo:lo + MOMENT_BLOCK]
+        block = buf[:len(rows)]
+        np.matmul(rows, zetas_t, out=block)
+        np.abs(block, out=block)
+        abs_sum += ones[:len(rows)] @ block    # faster than block.sum(axis=0)
+    gram = z.T @ z
+    return abs_sum, np.einsum("kd,de,ke->k", zetas, gram, zetas)
+
+
 def moment_scan(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
                 x_grid: int = 33, theta_samples: int = 24, zeta_samples: int = 256,
                 mc_samples: int = 10_000, seed: int = 0,
@@ -177,8 +202,7 @@ def moment_scan(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor
     worst_mean_se = 0.0
     worst_var = 0.0
     argmin = None
-    zetas_t = np.ascontiguousarray(zetas.T)
-    proj = np.empty((mc_samples, zetas.shape[0]))
+    buf = np.empty((MOMENT_BLOCK, zetas.shape[0]))
     for xi, x in enumerate(xs):
         w = sys.process_noise.sample(substream(seed, 11, xi), mc_samples)
         s = policy.dither.sample(substream(seed, 12, xi), mc_samples)
@@ -186,10 +210,9 @@ def moment_scan(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor
         for ti, theta in enumerate(thetas):
             u = np.asarray(policy.eval(xw, s, np.asarray(theta, float)), dtype=float)
             z = np.asarray(sys.basis_psi(xw, u), dtype=float)       # (mc, d)
-            np.matmul(z, zetas_t, out=proj)
-            np.abs(proj, out=proj)
-            means = proj.mean(axis=0)
-            sq_means = np.einsum("ij,ij->j", proj, proj) / mc_samples
+            abs_sum, sq_sum = _projection_moments(z, zetas, buf)
+            means = abs_sum / mc_samples
+            sq_means = sq_sum / mc_samples
             var = (sq_means - means ** 2) * (mc_samples / (mc_samples - 1.0))
             j = int(np.argmin(means))
             if means[j] < worst_mean:
@@ -347,16 +370,20 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
 
 def lyapunov_drift(sys: SystemModel, policy: PolicyFamily,
                    cert: LyapunovCertificate, x, vartheta_tilde,
-                   mc_samples: int = 4000, seed: int = 0) -> tuple[float, float]:
+                   mc_samples: int = 4000, seed: int = 0,
+                   key: tuple = ()) -> tuple[float, float]:
     """Monte-Carlo estimate (value, standard error) of the expected one-step
     change of V at state x when the policy runs at parameter error
     vartheta_tilde: E[V(g(x, alpha(x, S, theta* + vt), W))] - V(x).
+
+    The noise and dither come from substream(seed, 51, *key) and
+    substream(seed, 52, *key).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     vt = np.asarray(vartheta_tilde, dtype=float)
     theta = sys.theta_star + vt
-    w = sys.process_noise.sample(substream(seed, 51), mc_samples)
-    s = policy.dither.sample(substream(seed, 52), mc_samples)
+    w = sys.process_noise.sample(substream(seed, 51, *key), mc_samples)
+    s = policy.dither.sample(substream(seed, 52, *key), mc_samples)
     xb = np.broadcast_to(x, (mc_samples, sys.n))
     u = np.asarray(policy.eval(xb, s, theta), dtype=float)
     nxt = step(sys, xb, u, w)
@@ -406,7 +433,7 @@ def check_lyapunov(sys: SystemModel, policy: PolicyFamily,
     for i, x in enumerate(xs):
         for j, vt in enumerate(tilts):
             drift, se = lyapunov_drift(sys, policy, cert, x, vt,
-                                       mc_samples=mc_samples, seed=seed + 97 * i + j)
+                                       mc_samples=mc_samples, seed=seed, key=(i, j))
             allowed = (-float(cert.alpha3(np.linalg.norm(x))) + cert.d_tilde
                        + float(cert.sigma3(spectral_norm(vt))))
             m = allowed + 3.0 * se - drift

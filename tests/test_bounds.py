@@ -231,6 +231,85 @@ class TestSearches:
         assert cu.found and cu.value >= cv.value
 
 
+def sixty_step_bisect(verify, lo, hi):
+    """The geometric bisection of the certified searches, all 60 steps."""
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if verify(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def plain_certified(inp, delta, x0):
+    """The certified burn-in and converge values with all 60 bisection steps
+    (None where a search finds nothing)."""
+    def search(verify, t):
+        while t < 1e200 and not verify(t):
+            t *= 2.0
+        if t >= 1e200:
+            return None
+        return sixty_step_bisect(verify, t / 2.0, t)
+
+    hi = search(lambda T: B._verify_burn_in_upper(inp, delta, x0, T), 2.0)
+    if hi is None:
+        return None, None
+    burn = math.ceil(hi) if hi < 2 ** 53 else hi
+    hi = search(lambda T: B._verify_error_below(inp, delta, x0, T, inp.vartheta_bar),
+                max(float(burn), 2.0))
+    if hi is None:
+        return burn, None
+    conv = max(float(burn), hi)
+    return burn, (math.ceil(conv) if conv < 2 ** 53 else conv)
+
+
+class TestCertifiedBisection:
+    """Stopping the bisection once no step can change the result returns
+    what all 60 steps return."""
+
+    @given(threshold=st.floats(1e-3, 1e30), lo=st.floats(1.0, 1e25),
+           floor=st.one_of(st.just(-math.inf), st.floats(0.0, 1e30)))
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_matches_sixty_steps(self, threshold, lo, floor):
+        """A threshold predicate T >= threshold, below, inside or above the
+        bracket [lo, 2 lo]; at or below lo the bracket shrinks onto an
+        unverified lo."""
+        hi = 2.0 * lo
+        verify = lambda T: T >= min(threshold, hi)  # noqa: E731
+        want = max(floor, sixty_step_bisect(verify, lo, hi))
+        _, got, steps = B._bisect_verified(verify, lo, hi, floor)
+        got = max(floor, got)
+        if want < 2 ** 53:
+            assert math.ceil(got) == math.ceil(want)
+        else:
+            assert got == want
+        assert steps <= B.BISECT_STEPS
+
+    def test_stops_early_on_the_test_inputs(self):
+        inp = make_inputs()
+        burn = B.certified_burn_in_upper(inp, 0.1, [0.5])
+        conv = B.certified_converge_upper(inp, 0.1, [0.5], burn_in_ub=burn)
+        assert (burn.value, conv.value) == plain_certified(inp, 0.1, [0.5])
+        assert burn.diagnostics["bisection_steps"] < B.BISECT_STEPS
+        assert conv.diagnostics["bisection_steps"] < B.BISECT_STEPS
+
+    @given(slope=st.floats(1e-3, 0.5), u_max=st.floats(0.05, 1.0),
+           sigma_w=st.floats(0.0, 0.1), d=st.integers(1, 3),
+           c_pe=st.floats(0.1, 2.0), p_pe=st.floats(0.05, 0.25),
+           delta=st.floats(0.01, 0.5), x0=st.floats(0.0, 2.0),
+           vartheta_bar=st.floats(1e-3, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_property_matches_sixty_steps(self, slope, u_max, sigma_w, d, c_pe,
+                                          p_pe, delta, x0, vartheta_bar):
+        inp = make_inputs(cfs=simple_cfs(chi3=K.scaled_identity(slope)),
+                          u_max=u_max, sigma_w=sigma_w, d=d, c_pe=c_pe, p_pe=p_pe,
+                          vartheta_bar=vartheta_bar)
+        burn = B.certified_burn_in_upper(inp, delta, [x0])
+        conv = B.certified_converge_upper(inp, delta, [x0], burn_in_ub=burn)
+        assert (burn.value, conv.value) == plain_certified(inp, delta, [x0])
+
+
 class TestRefutation:
     """The O(1) refutation of a hopeless cap never changes a search result."""
 
@@ -264,6 +343,15 @@ class TestRefutation:
                           u_max=u_max, sigma_w=sigma_w, d=d, c_pe=c_pe, p_pe=p_pe)
         got = B.burn_in_time(inp, delta, [x0], cap)
         assert got.value == oracle_burn_in(inp, delta, [x0], cap, witness=True)
+
+    def test_witness_failure_is_conservative(self):
+        """At cap 1850 the literal predicate holds from some T <= cap, but its
+        slack decreases at the cap, so the search reports not-found."""
+        inp = make_inputs()
+        assert oracle_burn_in(inp, 0.1, [0.5], 1850) is not None
+        got = B.burn_in_time(inp, 0.1, [0.5], 1850)
+        assert got.mode == "not-found"
+        assert got.diagnostics["reason"] == "slack not increasing at cap"
 
     def test_hopeless_cap_refuted_without_scanning(self, monkeypatch):
         def no_scan(*args):

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_stab.certify import (LyapunovCertificate, check_lyapunov,
+from adaptive_stab.certify import (MOMENT_BLOCK, LyapunovCertificate,
+                                   _projection_moments, _unit_directions,
+                                   check_lyapunov, default_theta_grid,
                                    estimate_policy_lipschitz,
                                    excitation_from_moments, lyapunov_drift,
                                    moment_scan, rpi_check)
@@ -14,6 +17,7 @@ from adaptive_stab.kfuncs import exp_minus_one, identity, scaled_identity
 from adaptive_stab.noise import NoiseModel
 from adaptive_stab.plants import build_pwa, PwaExampleParams
 from adaptive_stab.regions import RegionDescriptor
+from adaptive_stab.rng import substream
 from adaptive_stab.system import PolicyFamily, SystemModel, step
 
 
@@ -121,6 +125,92 @@ class TestMomentScan:
             assert prob + 3 * se >= cert.p_pe
 
 
+def _scan_region(bundle):
+    """The plant's excitation region, or the box the certify command scans
+    (default --scan-radius 10) when that region is the whole space."""
+    if bundle.pe_region.is_bounded:
+        return bundle.pe_region
+    n = bundle.system.n
+    return RegionDescriptor.box([-10.0] * n, [10.0] * n)
+
+
+def _unblocked_moment_scan(sys, policy, region, x_grid, theta_samples,
+                           zeta_samples, mc_samples, seed):
+    """The moment scan with every projection of a cell in one (mc, K) array
+    and the second moment from the squared projections.  Also returns the
+    mean square E[p^2] where the worst variance is, the scale of the
+    rounding error of a variance taken as E[p^2] - E[|p|]^2."""
+    rng = substream(seed, 101)
+    xs = region.grid(x_grid)
+    thetas = default_theta_grid(sys.theta_star, rng, theta_samples)
+    zetas = _unit_directions(sys.d, zeta_samples, rng)
+    worst_mean, worst_var, argmin, var_scale = math.inf, 0.0, None, 0.0
+    for xi, x in enumerate(xs):
+        w = sys.process_noise.sample(substream(seed, 11, xi), mc_samples)
+        s = policy.dither.sample(substream(seed, 12, xi), mc_samples)
+        xw = x[None, :] + w
+        for ti, theta in enumerate(thetas):
+            u = np.asarray(policy.eval(xw, s, np.asarray(theta, float)), dtype=float)
+            proj = np.abs(np.asarray(sys.basis_psi(xw, u), dtype=float) @ zetas.T)
+            means = proj.mean(axis=0)
+            sq_means = np.einsum("ij,ij->j", proj, proj) / mc_samples
+            var = (sq_means - means ** 2) * (mc_samples / (mc_samples - 1.0))
+            j = int(np.argmin(means))
+            if means[j] < worst_mean:
+                worst_mean = float(means[j])
+                argmin = {"x": x.tolist(), "theta_index": ti, "zeta": zetas[j].tolist()}
+            k = int(np.argmax(var))
+            if var[k] > worst_var:
+                worst_var, var_scale = float(var[k]), float(sq_means[k])
+    return worst_mean, worst_var, argmin, var_scale
+
+
+class TestBlockedMomentScan:
+    @pytest.mark.parametrize("plant", ["pwa", "linear"])
+    @pytest.mark.parametrize("mc_samples", [1337, 10_000])
+    def test_matches_unblocked_scan(self, request, plant, mc_samples):
+        """mc_samples is not a multiple of the block, so the last block is
+        partial.  The Gramian second moment agrees with the squared
+        projections to rounding; the variance subtracts E[|p|]^2 from it, so
+        its rounding error scales with the mean square, not with c_pe2."""
+        bundle = request.getfixturevalue(f"{plant}_bundle")
+        kw = dict(x_grid=5, theta_samples=6, zeta_samples=256,
+                  mc_samples=mc_samples, seed=21)
+        region = _scan_region(bundle)
+        c1, c2, diag = moment_scan(bundle.system, bundle.policy, region, **kw)
+        r1, r2, r_argmin, var_scale = _unblocked_moment_scan(
+            bundle.system, bundle.policy, region, **kw)
+        assert c1 == pytest.approx(r1, rel=1e-12, abs=0.0)
+        assert abs(c2 - r2) <= 1e-12 * max(r2, var_scale)
+        assert diag["argmin"] == r_argmin
+
+    @pytest.mark.parametrize("rows", [MOMENT_BLOCK - 1, 1337, 3 * MOMENT_BLOCK])
+    def test_opposite_directions_bit_equal(self, rows):
+        rng = np.random.default_rng(rows)
+        z = rng.standard_normal((rows, 3))
+        half = _unit_directions(3, 128, rng)
+        zetas = np.vstack([half, -half])
+        abs_sum, sq_sum = _projection_moments(
+            z, zetas, np.empty((MOMENT_BLOCK, len(zetas))))
+        k = len(half)
+        assert np.array_equal(abs_sum[:k], abs_sum[k:])
+        assert np.array_equal(sq_sum[:k], sq_sum[k:])
+        assert np.allclose(abs_sum, np.abs(z @ zetas.T).sum(axis=0), rtol=1e-12, atol=0)
+        assert np.allclose(sq_sum, np.square(z @ zetas.T).sum(axis=0), rtol=1e-12, atol=0)
+
+    def test_peak_memory_independent_of_the_full_projection_array(self, pwa_bundle):
+        """At 20 000 samples one (mc, 256) float64 projection array is 41 MB;
+        the blocked scan holds one (MOMENT_BLOCK, 256) block."""
+        tracemalloc.start()
+        try:
+            moment_scan(pwa_bundle.system, pwa_bundle.policy, pwa_bundle.pe_region,
+                        x_grid=3, theta_samples=3, mc_samples=20_000, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestRpiCheck:
     def test_paper_configuration_not_falsified(self, pwa_bundle):
         cert = rpi_check(pwa_bundle.system, pwa_bundle.policy,
@@ -224,6 +314,24 @@ class TestCheckLyapunov:
                                 pwa_bundle.lyapunov, xs, theta_samples=5,
                                 mc_samples=4000, seed=3)
         assert report["ok"], report["failures"][:2]
+
+    def test_every_cell_draws_its_own_stream(self, pwa_bundle, monkeypatch):
+        """Cell (i, j) draws from substream(seed, 51|52, i, j); a seed of
+        seed + 97 i + j would give (0, 97) and (1, 0) the same stream."""
+        from adaptive_stab import certify
+        drawn = []
+
+        def recording(base_seed, *key):
+            drawn.append((base_seed, *key))
+            return substream(base_seed, *key)
+
+        monkeypatch.setattr(certify, "substream", recording)
+        check_lyapunov(pwa_bundle.system, pwa_bundle.policy, pwa_bundle.lyapunov,
+                       np.array([[-1.0], [1.0]]), theta_samples=100,
+                       mc_samples=100, seed=5)
+        for stream in (51, 52):
+            keys = [k for k in drawn if k[1:2] == (stream,)]
+            assert len(keys) == 200 and len(set(keys)) == 200
 
     def test_zero_v_fails_sandwich(self, pwa_bundle):
         cert = LyapunovCertificate(
