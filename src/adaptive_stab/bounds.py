@@ -391,18 +391,22 @@ def contained_time(inputs: BoundInputs, delta: float, x0,
 # certified conservative upper bounds (for scales beyond any dense scan)
 # ---------------------------------------------------------------------------
 
+def _geometric_run(t0: float, ratio: float, limit: float) -> np.ndarray:
+    """t0, t0*r, (t0*r)*r, ... up to the first product >= limit: the same
+    sequential products as multiplying in a loop while t < limit."""
+    if not t0 < limit:
+        return np.array([t0])
+    n = math.ceil(math.log(limit / t0) / math.log(ratio)) + 2
+    run = np.multiply.accumulate(np.r_[t0, np.full(n, ratio)])
+    return run[: int(np.argmax(run >= limit)) + 1]
+
+
 def _probe_ladder(t_start: float, fine_ratio: float = 1.02, fine_decades: float = 1.0,
                   coarse_ratio: float = 2.0, t_max: float = 1e280) -> np.ndarray:
     """Geometric probe points: fine spacing near t_start, octaves beyond."""
-    probes = [t_start]
-    t = t_start
-    while t < t_start * 10 ** fine_decades:
-        t *= fine_ratio
-        probes.append(t)
-    while t < t_max:
-        t *= coarse_ratio
-        probes.append(t)
-    return np.array(probes)
+    fine = _geometric_run(t_start, fine_ratio, t_start * 10 ** fine_decades)
+    coarse = _geometric_run(fine[-1], coarse_ratio, t_max)
+    return np.concatenate([fine, coarse[1:]])
 
 
 def _log_zsq(inputs: BoundInputs, delta3: float, x0, t_arr):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import CertificationError, ContractViolation
 from .kfuncs import MonotoneFn
@@ -252,12 +251,30 @@ def _support_points(noise: NoiseModel, rng: np.random.Generator, count: int,
     return pts, {"quantile": quantile, "radius": radius}
 
 
+def _shifted_lattice(n: int, dim: int, seed: int) -> np.ndarray:
+    """n points of the unit cube, frac(i g + u) for i < n: a rank-1 lattice
+    with g = (1/n, alpha_2, ..., alpha_dim), where alpha_j = phi^-j are the
+    R_d Kronecker constants (phi the positive root of x^(dim+1) = x + 1),
+    and u a uniform random shift drawn from seed (Cranley & Patterson 1976).
+    The first coordinate puts exactly one point in each of n equal cells.
+    """
+    phi = 2.0
+    for _ in range(64):   # contraction by at least 1/2 per step
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    g = phi ** -np.arange(1.0, dim + 1.0)
+    g[0] = 1.0 / n
+    shift = np.random.default_rng(seed).random(dim)
+    return (np.arange(n)[:, None] * g + shift) % 1.0
+
+
 def rpi_check(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
               vartheta_bar: float, sample_budget: int = 20_000,
               seed: int = 0) -> RpiCertificate:
     """Falsification scan of robust positive invariance: corners plus
-    quasi-random interior states, noise/dither support points, and parameters
-    on and inside the vartheta_bar sphere around the true parameter.
+    interior states, noise/dither support points, and parameters on and
+    inside the vartheta_bar sphere around the true parameter.  A box region's
+    interior states are a randomly shifted rank-1 lattice (``_shifted_lattice``);
+    other bounded regions use a grid plus uniform samples.
     """
     if vartheta_bar <= 0:
         raise ContractViolation("vartheta_bar must be positive")
@@ -285,8 +302,7 @@ def rpi_check(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
     n_x = max(8, int(2 ** math.ceil(math.log2(max(sample_budget // combos, 8)))))
     if region.shape == "interval-box":
         corners = region.corners()
-        sob = qmc.Sobol(d=region.dim, scramble=True, seed=int(rng.integers(2 ** 31)))
-        unit = sob.random(n_x)
+        unit = _shifted_lattice(n_x, region.dim, int(rng.integers(2 ** 31)))
         interior = region.lows + unit * (region.highs - region.lows)
         xs = np.vstack([corners, interior])
     else:

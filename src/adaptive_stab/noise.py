@@ -7,18 +7,57 @@ Gaussian gives the largest covariance eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import ContractViolation
+from .kfuncs import INVERSE_TOL, numeric_inverse
 from .regions import RegionDescriptor
 
 UNIFORM_BOX = "uniform-box"
 GAUSSIAN = "gaussian"
 POINT_MASS = "point-mass"
+
+
+def _chi2_log_sf(x: float, df: int) -> float:
+    """log P(chi2_df > x) for integer df >= 1, from the finite series
+    sf = sum_{a} h^a e^-h / Gamma(a + 1) over a = a0, a0 + 1, ... < df/2,
+    h = x/2 and a0 = 0 (even df) or 1/2 (odd df, plus erfc(sqrt(h))).
+    The terms are summed in the log domain, so no term over- or underflows.
+    """
+    if x <= 0.0:
+        return 0.0
+    h = 0.5 * x
+    a0 = 0.5 * (df % 2)
+    logs = [a * math.log(h) - h - math.lgamma(a + 1.0)
+            for a in (a0 + j for j in range(df // 2))]
+    if df % 2:
+        s = math.sqrt(h)
+        # beyond h = 700 erfc nears underflow; its upper bound
+        # e^-h / (s sqrt(pi)) keeps the quantile on the conservative side
+        logs.append(math.log(math.erfc(s)) if h < 700.0
+                    else -h - math.log(s * math.sqrt(math.pi)))
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
+def _chi2_quantile(prob: float, df: int) -> float:
+    """Smallest x with P(chi2_df <= x) >= prob, to the tolerance of
+    ``numeric_inverse``, which here acts on -log sf (so tail levels such as
+    1 - 1e-6 keep full relative accuracy).  The target is raised by two
+    tolerances so the returned x errs toward the larger value.
+    """
+    target = -math.log1p(-prob)
+    target += 2.0 * INVERSE_TOL * (1.0 + target)
+    # Laurent & Massart (2000): P(chi2_df >= df + 2 sqrt(df t) + 2t) <= e^-t;
+    # t = 40 exceeds every target (prob < 1 gives target <= 53 log 2), and a
+    # bracket that does not depend on prob keeps the quantile monotone in it
+    t = 40.0
+    hi = df + 2.0 * math.sqrt(df * t) + 2.0 * t
+    return numeric_inverse(lambda x: -_chi2_log_sf(x, df), target, (0.0, hi))
 
 
 @dataclass(frozen=True)
@@ -101,7 +140,7 @@ class NoiseModel:
             return float(np.linalg.norm(self.value))
         # |X|^2 <= lambda_max * chi2_dim quantile
         lam_max = self.sub_gaussian_sigma ** 2
-        return float(np.sqrt(lam_max * stats.chi2.ppf(prob, df=self.dim)))
+        return float(np.sqrt(lam_max * _chi2_quantile(prob, self.dim)))
 
     @property
     def bounded(self) -> bool:

@@ -264,6 +264,30 @@ def plain_certified(inp, delta, x0):
     return burn, (math.ceil(conv) if conv < 2 ** 53 else conv)
 
 
+def loop_ladder(t_start, fine_ratio=1.02, fine_decades=1.0, coarse_ratio=2.0,
+                t_max=1e280):
+    """The probe ladder built one multiply and append at a time."""
+    probes = [t_start]
+    t = t_start
+    while t < t_start * 10 ** fine_decades:
+        t *= fine_ratio
+        probes.append(t)
+    while t < t_max:
+        t *= coarse_ratio
+        probes.append(t)
+    return np.array(probes)
+
+
+@given(st.one_of(st.floats(2.0, 1e279),
+                 st.sampled_from([2.0, 62564757532.0, 2.0 ** 53, 1e200])))
+@settings(max_examples=500, deadline=None)
+def test_probe_ladder_matches_the_loop_bit_for_bit(t_start):
+    want = loop_ladder(t_start)
+    got = B._probe_ladder(t_start)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 class TestCertifiedBisection:
     """Stopping the bisection once no step can change the result returns
     what all 60 steps return."""

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_stab.certify import (MOMENT_BLOCK, LyapunovCertificate,
-                                   _projection_moments, _unit_directions,
+from adaptive_stab import certify
+from adaptive_stab.certify import (GAUSSIAN_TRUNCATION, MOMENT_BLOCK,
+                                   LyapunovCertificate, _projection_moments,
+                                   _unit_directions,
                                    check_lyapunov, default_theta_grid,
                                    estimate_policy_lipschitz,
                                    excitation_from_moments, lyapunov_drift,
@@ -235,6 +237,75 @@ class TestRpiCheck:
         cert = rpi_check(pwa_bundle.system, pwa_bundle.policy,
                          RegionDescriptor.everything(1), 1e-3)
         assert cert.holds
+
+
+def contracting_plant(noise):
+    """x+ = x/2 + W with zero control, in the dimension of the noise."""
+    n = noise.dim
+    sys = SystemModel(
+        n=n, m=1, d=1, q=1,
+        nominal_f=lambda x, u: 0.5 * np.asarray(x, dtype=float),
+        basis_psi=lambda x, u: np.asarray(u, dtype=float),
+        theta_star=np.zeros((1, n)), process_noise=noise,
+        state_space=RegionDescriptor.everything(n))
+    policy = PolicyFamily(eval=lambda x, s, th: np.zeros(np.shape(x)[:-1] + (1,)),
+                          u_max=0.0, dither=NoiseModel.point_mass([0.0]))
+    return sys, policy
+
+
+def scanned_states(monkeypatch, *args, **kwargs):
+    """The state batch rpi_check steps forward, and its certificate."""
+    seen = []
+
+    def recording_step(sys, x, u, w):
+        seen.append(np.array(x))
+        return step(sys, x, u, w)
+
+    monkeypatch.setattr(certify, "step", recording_step)
+    cert = rpi_check(*args, **kwargs)
+    return seen[0], cert
+
+
+class TestRpiSampler:
+    @pytest.mark.parametrize("budget", [100, 4000, 20_000])
+    def test_one_point_per_cell_in_one_dimension(self, monkeypatch, budget):
+        """On [0, 1] the interior states are the unit points themselves."""
+        sys, policy = contracting_plant(NoiseModel.point_mass([0.0]))
+        region = RegionDescriptor.interval(0.0, 1.0)
+        for seed in range(10):
+            xs, cert = scanned_states(monkeypatch, sys, policy, region, 0.1,
+                                      sample_budget=budget, seed=seed)
+            interior = xs[2:, 0]    # after the two corners
+            cells = np.floor(len(interior) * interior).astype(int)
+            assert cert.holds
+            assert np.array_equal(np.sort(cells), np.arange(len(interior)))
+
+    def test_points_inside_the_box_and_repeatable(self, monkeypatch):
+        sys, policy = contracting_plant(NoiseModel.uniform_box([0.1, 0.1]))
+        region = RegionDescriptor.box([-10.0, -10.0], [10.0, 10.0])
+        xs, cert = scanned_states(monkeypatch, sys, policy, region, 0.1,
+                                  sample_budget=4000, seed=3)
+        again, _ = scanned_states(monkeypatch, sys, policy, region, 0.1,
+                                  sample_budget=4000, seed=3)
+        other, _ = scanned_states(monkeypatch, sys, policy, region, 0.1,
+                                  sample_budget=4000, seed=4)
+        assert cert.holds
+        assert len(xs) > 4
+        assert np.all(xs >= region.lows) and np.all(xs <= region.highs)
+        assert np.array_equal(xs, again)
+        assert not np.array_equal(xs, other)
+
+    def test_gaussian_noise_truncated_at_the_stated_quantile(self):
+        noise = NoiseModel.gaussian(0.01 * np.eye(2))
+        sys, policy = contracting_plant(noise)
+        region = RegionDescriptor.box([-10.0, -10.0], [10.0, 10.0])
+        cert = rpi_check(sys, policy, region, 0.1, sample_budget=4000, seed=5)
+        trunc = cert.to_dict()["truncation"]
+        assert cert.holds
+        assert trunc["process_noise"] == {
+            "quantile": GAUSSIAN_TRUNCATION,
+            "radius": noise.norm_quantile(GAUSSIAN_TRUNCATION)}
+        assert trunc["dither"] is None
 
 
 class TestPolicyLipschitz:

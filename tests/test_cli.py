@@ -1,5 +1,9 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +282,38 @@ def test_simulate_runs_no_certified_search(search_calls, pwa_config, tmp_path):
     assert len(search_calls["burn_in_time"]) == 1
     assert not search_calls["certified_burn_in_upper"]
     assert not search_calls["certified_converge_upper"]
+
+
+SCIPY_BLOCKED = textwrap.dedent("""
+    import sys
+
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, BlockScipy())
+    import numpy as np
+    from adaptive_stab.cli import main
+    from adaptive_stab.noise import NoiseModel
+
+    rc = main(["certify", sys.argv[1], "--what", "rpi", "--samples", "4000",
+               "--out", sys.argv[2]])
+    print(NoiseModel.gaussian(np.eye(3)).norm_quantile(0.99))
+    assert "scipy" not in sys.modules
+    sys.exit(rc)
+""")
+
+
+def test_runs_without_scipy(pwa_config, tmp_path):
+    """Import, a certify run and a Gaussian quantile with scipy unimportable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, pwa_config,
+                           str(tmp_path / "cert")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    radius = float(proc.stdout.split()[-1])
+    assert radius ** 2 == pytest.approx(11.344866730144373, rel=1e-8)

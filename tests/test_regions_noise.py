@@ -85,6 +85,28 @@ class TestNoise:
         frac = np.mean(np.linalg.norm(pts, axis=1) <= r)
         assert frac >= 0.985
 
+    # chi-square quantiles for df = 1..5 at two levels
+    CHI2_AT_0_99 = (6.6348966010212145, 9.21034037197618, 11.344866730144373,
+                    13.276704135987622, 15.08627246938899)
+    CHI2_AT_1_MINUS_1E_6 = (23.92812697687947, 27.631021115871036,
+                            30.66484970615427, 33.37684158165888,
+                            35.88818687961042)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_norm_quantile_matches_chi_square(self, dim):
+        m = NoiseModel.gaussian(np.eye(dim))
+        for prob, table in ((0.99, self.CHI2_AT_0_99),
+                            (1.0 - 1e-6, self.CHI2_AT_1_MINUS_1E_6)):
+            assert m.norm_quantile(prob) ** 2 == pytest.approx(table[dim - 1], rel=1e-8)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_norm_quantile_non_decreasing_in_prob(self, dim):
+        m = NoiseModel.gaussian(np.eye(dim))
+        probs = np.concatenate([np.linspace(0.01, 0.99, 99),
+                                1.0 - np.geomspace(1e-3, 1e-15, 40)])
+        radii = [m.norm_quantile(float(p)) for p in probs]
+        assert np.all(np.diff(radii) >= 0.0)
+
     def test_quantile_bounds_contract(self):
         with pytest.raises(ContractViolation):
             NoiseModel.uniform_box([1.0]).norm_quantile(1.5)
