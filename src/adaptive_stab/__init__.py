@@ -14,7 +14,6 @@ from .certify import (ExcitationCertificate, LyapunovCertificate,
                       rpi_check)
 from .errors import (CertificationError, ConfigError, ContractViolation,
                      MissingPrerequisite)
-from .estimator import RlsEstimator, estimation_error, regressor
 from .harness import (EnsembleStats, ExperimentConfig, coverage,
                       quantile_series, run_ensemble, run_trial, wilson_interval)
 from .kfuncs import MonotoneFn, exp_minus_one, identity, numeric_inverse, scaled_identity

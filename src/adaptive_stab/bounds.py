@@ -39,6 +39,8 @@ DENSE_LIMIT = 50_000_000          # largest cap the exact scans will attempt
 LAMBDA_FLOOR = 1e-30              # early exit for lambda-map iterates
 REFUTE_LOG_Q = -1.0               # margin of the O(1) burn-in cap refutation
 BISECT_STEPS = 60                 # most geometric bisection steps of a certified search
+CONTAINED_PROBE_CAP = 1e18        # doubling probe past which T_contained reads as inf
+LAMBDA_GRID = 8192                # running-max grid points of a non-linear lambda map
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,11 @@ def gramian_upper(t: int, delta: float, x0, cfs: ComparisonFunctionSet,
     if t > DENSE_LIMIT:
         raise ContractViolation(f"direct partial sum capped at {DENSE_LIMIT}; "
                                 "use the schedule machinery for larger t")
-    idx = np.arange(1, t + 1, dtype=float)
-    zb = regressor_bound(idx, delta, x0, cfs, u_max, sigma_w, n)
-    return float(np.sum(np.square(zb)) + gamma)
+    total = 0.0
+    for lo, hi in _chunk_ranges(1, t):
+        idx = np.arange(lo, hi + 1, dtype=float)
+        total += np.sum(np.square(regressor_bound(idx, delta, x0, cfs, u_max, sigma_w, n)))
+    return float(total + gamma)
 
 
 @dataclass(frozen=True)
@@ -354,8 +358,7 @@ def converge_time(inputs: BoundInputs, delta: float, x0, cap: int,
                         {"burn_in": burn_in.value, "first_below": t_e, "cap": cap})
 
 
-def contained_time(inputs: BoundInputs, delta: float, x0,
-                   probe_cap: float = 1e18) -> float:
+def contained_time(inputs: BoundInputs, delta: float, x0) -> float:
     """Largest T with the confidence-delta/3 state bound inside the invariant
     region; math.inf when the invariant region covers the state space, 0 when
     even T = 1 fails.
@@ -373,9 +376,9 @@ def contained_time(inputs: BoundInputs, delta: float, x0,
     if xb(1) > radius:
         return 0
     t = 1
-    while t < probe_cap and xb(2 * t) <= radius:
+    while t < CONTAINED_PROBE_CAP and xb(2 * t) <= radius:
         t *= 2
-    if 2 * t >= probe_cap:
+    if 2 * t >= CONTAINED_PROBE_CAP:
         return math.inf  # growth terms all zero below the probe cap
     lo, hi = t, 2 * t  # xb(lo) <= radius < xb(hi)
     while hi - lo > 1:
@@ -749,7 +752,7 @@ class LambdaMap:
     arguments far outside double range.
     """
 
-    def __init__(self, alpha_v: MonotoneFn, s_max: float = 1e6, grid_size: int = 8192):
+    def __init__(self, alpha_v: MonotoneFn, s_max: float = 1e6):
         self.alpha_v = alpha_v
         self.slope = alpha_v.linear_slope
         if self.slope is not None:
@@ -762,7 +765,7 @@ class LambdaMap:
             if not math.isfinite(s_max) or s_max <= 0:
                 raise CertificationError(
                     "lambda map needs a finite positive range for non-linear alpha_v")
-            grid = np.concatenate([[0.0], np.geomspace(1e-60, s_max * 1.0001, grid_size)])
+            grid = np.concatenate([[0.0], np.geomspace(1e-60, s_max * 1.0001, LAMBDA_GRID)])
             lam1 = self._lam1(grid)
             self.grid = grid
             self.runmax = np.maximum.accumulate(lam1)
@@ -770,10 +773,6 @@ class LambdaMap:
     def _lam1(self, r):
         r = np.asarray(r, dtype=float)
         return r - self.alpha_v(r) + self.alpha_v(r / 2.0)
-
-    def lam1(self, r):
-        out = self._lam1(r)
-        return float(out) if np.ndim(r) == 0 else out
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
@@ -852,12 +851,6 @@ class StabilityEnvelope:
     diagnostics: dict = field(default_factory=dict)
     eta_tilde_values: Optional[np.ndarray] = None   # dense mode, pre-tail-max
 
-    def eta(self, t) -> float:
-        t_arr = np.clip(np.asarray(t, dtype=float), 0, self.eta_t[-1])
-        idx = np.minimum(t_arr.astype(int), len(self.eta_values) - 1)
-        out = self.eta_values[idx]
-        return float(out) if np.ndim(t) == 0 else out
-
     def to_dict(self) -> dict:
         return {
             "delta": self.delta,
@@ -891,7 +884,6 @@ def _inv_vec(fn: MonotoneFn, arr: np.ndarray) -> np.ndarray:
 
 def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
                        horizon: int, cap: int, e_scale: float = 1.0,
-                       beta2_window: tuple[int, int] = (0, 0),
                        analysis: Optional[BoundAnalysis] = None) -> StabilityEnvelope:
     """Construct (eta, c2) for the probabilistic stability bound at level
     delta.  Requires the delta/2 variant of the theorem condition; refuses
@@ -899,8 +891,6 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
 
     e_scale multiplicatively rescales the estimation-error schedule fed into
     the transient branches (diagnostic knob; c2 must be invariant to it).
-    beta2_window shifts the (start, end) of the error window in the beta2
-    branch relative to the printed construction.
     """
     if not 0.0 < delta < 1.0:
         raise ContractViolation("delta must be in (0,1)")
@@ -1036,11 +1026,10 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
     else:
         b1 = np.array([beta1(plateau, int(k)) for k in ks])
 
-    # beta2 branch: prefix maxima of e over [T0 + lo_off, T0 + floor(k/2) + hi_off]
-    lo_off, hi_off = beta2_window
-    win_start = max(1, t0 + lo_off)
+    # beta2 branch: prefix maxima of e over [T0, T0 + floor(k/2)]
+    win_start = max(1, t0)
     prefix = np.maximum.accumulate(e_arr[win_start - 1:])
-    b2_end = np.minimum(t0 + ks // 2 + hi_off, h_ext)
+    b2_end = np.minimum(t0 + ks // 2, h_ext)
     b2_arg = np.where(b2_end >= win_start, prefix[np.maximum(b2_end - win_start, 0)], 0.0)
     exps = (t0 + 1 + np.ceil(ks / 2.0)).astype(int)
     y_b2 = np.array([gamma_tilde(2.0 * float(sigma3(v))) if v > 0 else 0.0

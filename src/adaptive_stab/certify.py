@@ -24,6 +24,8 @@ from .system import PolicyFamily, SystemModel, step
 
 GAUSSIAN_TRUNCATION = 1.0 - 1e-6   # quantile used to truncate unbounded supports
 MOMENT_BLOCK = 256   # sample rows per projection block of the moment scan
+LIPSCHITZ_SAFETY = 1.5   # inflation of the worst observed policy Lipschitz ratio
+LIPSCHITZ_THETAS = 62    # parameter draws of the policy Lipschitz scan
 
 
 @dataclass
@@ -39,13 +41,6 @@ class ExcitationCertificate:
         return {"kind": "excitation", "region": self.region.to_dict(),
                 "c_pe1": self.c_pe1, "c_pe2": self.c_pe2,
                 "c_pe": self.c_pe, "p_pe": self.p_pe, "mc_config": self.mc_config}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExcitationCertificate":
-        return ExcitationCertificate(
-            region=RegionDescriptor.from_dict(d["region"]), c_pe1=d["c_pe1"],
-            c_pe2=d["c_pe2"], c_pe=d["c_pe"], p_pe=d["p_pe"],
-            mc_config=d.get("mc_config", {}))
 
 
 @dataclass
@@ -68,15 +63,6 @@ class RpiCertificate:
                 "falsified": self.falsified, "truncation": self.truncation,
                 "note": self.note}
 
-    @staticmethod
-    def from_dict(d: dict) -> "RpiCertificate":
-        return RpiCertificate(region=RegionDescriptor.from_dict(d["region"]),
-                              vartheta_bar=d["vartheta_bar"],
-                              samples_checked=d.get("samples_checked", 0),
-                              falsified=d.get("falsified"),
-                              truncation=d.get("truncation"),
-                              note=d.get("note", ""))
-
 
 @dataclass
 class LyapunovCertificate:
@@ -90,13 +76,6 @@ class LyapunovCertificate:
     region: RegionDescriptor
     vartheta_bar: float
     meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": "lyapunov", "region": self.region.to_dict(),
-                "vartheta_bar": self.vartheta_bar, "d_tilde": self.d_tilde,
-                "functions": {k: getattr(self, k).name for k in
-                              ("alpha1", "alpha2", "alpha3", "sigma3", "alpha_v")},
-                "meta": self.meta}
 
 
 def excitation_from_moments(c_pe1: float, c_pe2: float,
@@ -179,8 +158,7 @@ def _projection_moments(z: np.ndarray, zetas: np.ndarray,
 
 def moment_scan(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
                 x_grid: int = 33, theta_samples: int = 24, zeta_samples: int = 256,
-                mc_samples: int = 10_000, seed: int = 0,
-                theta_list: Optional[list] = None) -> tuple[float, float, dict]:
+                mc_samples: int = 10_000, seed: int = 0) -> tuple[float, float, dict]:
     """Scan the excitation moments over (x, theta, zeta): the worst-case mean
     of |zeta^T psi(x+W, alpha(x+W, S, theta))| and the worst-case variance.
 
@@ -193,8 +171,7 @@ def moment_scan(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor
         raise ContractViolation("moment scan needs a bounded scan region")
     rng = substream(seed, 101)
     xs = region.grid(x_grid)
-    thetas = theta_list if theta_list is not None else \
-        default_theta_grid(sys.theta_star, rng, theta_samples)
+    thetas = default_theta_grid(sys.theta_star, rng, theta_samples)
     zetas = _unit_directions(sys.d, zeta_samples, rng)
 
     worst_mean = math.inf
@@ -331,12 +308,10 @@ def rpi_check(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
 
 
 def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: float,
-                              sample_budget: int = 4000, x_max: float = 1e3,
-                              n_split: Optional[int] = None, seed: int = 0,
-                              safety: float = 1.5) -> float:
+                              x_max: float = 1e3, seed: int = 0) -> float:
     """Worst observed ratio |policy(x, theta) - policy(x, theta*)| / |dtheta|
-    over parameters within ball_radius of the truth, inflated by a safety
-    factor.  policy_eval takes (x (k, n), theta) and returns the (k, m)
+    over parameters within ball_radius of the truth, inflated by the factor
+    LIPSCHITZ_SAFETY.  policy_eval takes (x (k, n), theta) and returns the (k, m)
     controls (dither already fixed).
 
     Fails when the scan detects a rank collapse of the input-block inside
@@ -346,14 +321,13 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
         raise ContractViolation("ball_radius must be positive")
     th = np.atleast_2d(np.asarray(theta_star, dtype=float))
     rng = substream(seed, 41)
-    n = th.shape[1] if n_split is None else n_split
+    n = th.shape[1]
     tail_sv = np.linalg.svd(th[n:, :], compute_uv=False)
     if tail_sv.size == 0 or tail_sv[-1] <= ball_radius:
         raise CertificationError(
             f"input-block can lose rank inside the ball (sigma_min = "
             f"{0.0 if tail_sv.size == 0 else tail_sv[-1]:.3g} <= radius "
             f"{ball_radius:.3g}); retry with a smaller radius")
-    n_theta = max(16, sample_budget // 64)
     n_x = 64
 
     # x scan: log-spaced magnitudes in random directions plus axes
@@ -363,7 +337,7 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
 
     base = np.asarray(policy_eval(xs, th), dtype=float)
     worst = 0.0
-    for _ in range(n_theta):
+    for _ in range(LIPSCHITZ_THETAS):
         d = rng.standard_normal(size=th.shape)
         d /= np.linalg.norm(d, 2)
         r = ball_radius * rng.uniform(0.05, 1.0)
@@ -381,7 +355,7 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
     if worst == 0.0:
         raise CertificationError("policy difference scan saw only zeros; "
                                  "include nonzero states in the scan")
-    return safety * worst
+    return LIPSCHITZ_SAFETY * worst
 
 
 def lyapunov_drift(sys: SystemModel, policy: PolicyFamily,

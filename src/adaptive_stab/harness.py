@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .estimator import ridge_solve
+from .estimator import ingest, ridge_solve
 from .rng import DITHER, PROCESS_NOISE, substream
 from .system import PolicyFamily, SystemModel, Trajectory, step
 
@@ -94,9 +94,7 @@ def _simulate(cfg: ExperimentConfig, trial_indices: Sequence[int]) -> list:
         theta = cfg.vartheta0 if t < 2 else ridge_solve(G, C)
         estimates[live, t] = theta
         if pending is not None:
-            z, res = pending
-            G += z[:, :, None] * z[:, None, :]
-            C += z[:, :, None] * res[:, None, :]
+            ingest(G, C, *pending)
         u = np.asarray(policy.eval(x, dithers[live, t], theta), dtype=float)
         x_next = step(sys, x, u, noises[live, t])
         z = np.asarray(psi(x, u), dtype=float)
@@ -115,9 +113,7 @@ def _simulate(cfg: ExperimentConfig, trial_indices: Sequence[int]) -> list:
         pending = (z, res)
         x = x_next
     if live.size:
-        z, res = pending
-        G += z[:, :, None] * z[:, None, :]
-        C += z[:, :, None] * res[:, None, :]
+        ingest(G, C, *pending)
         estimates[live, T] = ridge_solve(G, C)
 
     trajectories = []

@@ -76,10 +76,3 @@ def spectral_norm(mat) -> float:
 def spectral_radius(mat) -> float:
     arr = np.atleast_2d(np.asarray(mat, dtype=float))
     return float(np.max(np.abs(np.linalg.eigvals(arr))))
-
-
-def sym_eig_extremes(mat) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix."""
-    arr = np.atleast_2d(np.asarray(mat, dtype=float))
-    vals = np.linalg.eigvalsh(0.5 * (arr + arr.T))
-    return float(vals[0]), float(vals[-1])

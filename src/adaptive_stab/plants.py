@@ -153,7 +153,7 @@ def _feedback_only(n: int, u_bar1: float):
 
 
 def build_pwa(params: PwaExampleParams = PwaExampleParams(),
-              seed: int = 0, lipschitz_budget: int = 4000) -> PlantBundle:
+              seed: int = 0) -> PlantBundle:
     """Piecewise-affine example: x+ = x + 0.1 1{|x| <= x_bar} u + w with
     uniform noise and a saturated certainty-equivalence policy plus dither.
     """
@@ -200,9 +200,7 @@ def build_pwa(params: PwaExampleParams = PwaExampleParams(),
 
     scan_radius = 0.5 * PWA_GAIN
     c_lip = estimate_policy_lipschitz(_feedback_only(1, u1), theta_star, scan_radius,
-                                      sample_budget=lipschitz_budget,
-                                      x_max=10.0 * u1 / PWA_GAIN, n_split=1,
-                                      seed=seed)
+                                      x_max=10.0 * u1 / PWA_GAIN, seed=seed)
     # vartheta_bar must keep both the invariance inequality
     # 0.1 u1 >= 0.1 (C vb + s_bar) + w_bar and the drift-rate positivity
     # 0.1 u1 > h + C vb; the tighter cap wins, with a 0.9 safety factor
@@ -241,7 +239,7 @@ def build_pwa(params: PwaExampleParams = PwaExampleParams(),
 
 
 def build_linear(params: LinearExampleParams = LinearExampleParams(),
-                 seed: int = 0, lipschitz_budget: int = 4000) -> PlantBundle:
+                 seed: int = 0) -> PlantBundle:
     """Input-constrained linear example controlled through its kappa-step
     sub-sampled form; globally excited, so the invariant region is the whole
     space and the high-probability route applies.
@@ -294,8 +292,7 @@ def build_linear(params: LinearExampleParams = LinearExampleParams(),
 
     scan_radius = 0.25 * sv_min
     c_lip = estimate_policy_lipschitz(_feedback_only(n, u1), system.theta_star,
-                                      scan_radius, sample_budget=lipschitz_budget,
-                                      x_max=100.0, n_split=n, seed=seed)
+                                      scan_radius, x_max=100.0, seed=seed)
     vartheta_bar = 0.9 * min((authority - h) / (r_star_norm * c_lip), scan_radius)
     if vartheta_bar <= 0:
         raise CertificationError("no admissible parameter-error radius")

@@ -61,7 +61,7 @@ class RegionDescriptor:
     def is_bounded(self) -> bool:
         return self.shape != ALL
 
-    def contains(self, x, atol: float = 0.0):
+    def contains(self, x):
         """Membership (closed region); vectorised over leading axes."""
         if self.shape == ALL:
             pts = np.asarray(x, dtype=float)
@@ -71,8 +71,8 @@ class RegionDescriptor:
             pts = pts[..., None]
         if self.shape == BALL:
             d = np.linalg.norm(pts - self.center, axis=-1)
-            return d <= self.radius + atol
-        inside = np.logical_and(pts >= self.lows - atol, pts <= self.highs + atol)
+            return d <= self.radius
+        inside = np.logical_and(pts >= self.lows, pts <= self.highs)
         return np.all(inside, axis=-1)
 
     def max_norm(self) -> float:

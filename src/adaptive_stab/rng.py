@@ -1,9 +1,10 @@
-"""Reproducible random substreams for parallel simulation.
+"""Reproducible random substreams.
 
-Every stochastic component (trial workers, Monte-Carlo scan cells) derives
-its own generator from a base seed plus an integer key path, so results do
-not depend on execution order and any single stream can be reproduced in
-isolation.  Streams use the counter-based Philox bit generator keyed through
+Every stochastic component (each trial's process noise and dither,
+Monte-Carlo scan cells) derives its own generator from a base seed plus an
+integer key path, so a trial's draws do not depend on which other trials are
+simulated with it, and any single stream can be reproduced in isolation.
+Streams use the counter-based Philox bit generator keyed through
 ``numpy.random.SeedSequence`` spawn keys.
 """
 

@@ -53,9 +53,6 @@ class PolicyFamily:
     dither: NoiseModel          # distribution of the injected exploration noise
     name: str = "policy"
 
-    def __call__(self, x, s, theta):
-        return self.eval(x, s, theta)
-
 
 def step(sys: SystemModel, x, u, w) -> np.ndarray:
     """One transition of the plant; supports batched leading axes."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,19 @@ class TestErrorEnvelope:
                + inp.sigma_w * np.sqrt(2 * inp.n * (np.log(3 * inp.n / 0.1)
                                                     + (inp.d / 2) * np.log(beta / inp.gamma))))
         assert np.allclose(e ** 2 * denom_sq, num ** 2, rtol=1e-12)
+
+    def test_dense_partial_sum_memory_is_chunked(self, pwa_bundle):
+        """The Gramian partial sum works through DENSE_CHUNK blocks, so its
+        peak memory does not grow with t (one array over all of [1, t] would
+        take about 234 MiB at t = 5e6)."""
+        inputs = pwa_bundle.bound_inputs()
+        tracemalloc.start()
+        try:
+            B.error_envelope(5_000_000, 0.1, pwa_bundle.x0, inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
 
 
 def oracle_burn_in(inp, delta, x0, cap, witness=False):

@@ -108,6 +108,14 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+EXPECTED_EXIT = {
+    "pwa_config": {"simulate": 0, "certify": 0, "bounds": 0, "sweep": 0},
+    # certify exits 4 on linear: its Lyapunov drift check fails (worst margin
+    # -7.7e51), the unsound linear state bound recorded under FOUND in CHANGES.md
+    "linear_config": {"simulate": 0, "certify": 4, "bounds": 0, "sweep": 0},
+}
+
+
 @pytest.mark.parametrize("config", ["pwa_config", "linear_config"])
 def test_every_json_artifact_is_strict_json(config, tmp_path, request):
     """Every command writes standard JSON: infinities appear as "inf"."""
@@ -122,7 +130,8 @@ def test_every_json_artifact_is_strict_json(config, tmp_path, request):
     }
     for command, extra in commands.items():
         out = tmp_path / command
-        assert main([command, path, "--out", str(out)] + extra) in (0, 4)
+        rc = main([command, path, "--out", str(out)] + extra)
+        assert rc == EXPECTED_EXIT[config][command], command
         written = sorted(out.glob("*.json"))
         assert written
         for artifact in written:

@@ -262,15 +262,14 @@ class TestEnsemble:
 
 
 def test_gramian_series_matches_estimator(pwa_bundle):
-    from adaptive_stab.estimator import RlsEstimator
+    from adaptive_stab.estimator import ingest
     cfg = ExperimentConfig(system=pwa_bundle.system, policy=pwa_bundle.policy,
                            gamma=pwa_bundle.gamma, x0=pwa_bundle.x0,
                            horizon=80, n_trials=1, base_seed=4)
     tr = run_trial(cfg, 0)
     series = gramian_min_eigen_series(tr, cfg.gamma)
-    est = RlsEstimator(gamma=cfg.gamma, d=2, n=1)
+    G, C = cfg.gamma * np.eye(2), np.zeros((2, 1))
     for t in range(80):
-        est.update(tr.regressors[t], tr.states[t + 1],
-                   np.zeros(1))
-        lo, _ = est.gramian_extremes()
+        ingest(G, C, tr.regressors[t], tr.states[t + 1])
+        lo = np.linalg.eigvalsh(G)[0]
         assert series[t] == pytest.approx(lo, rel=1e-10)

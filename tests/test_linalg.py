@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_stab.errors import ContractViolation
-from adaptive_stab.linalg import (pinv, reachability_matrix, sat,
-                                  spectral_norm, sym_eig_extremes)
+from adaptive_stab.linalg import pinv, reachability_matrix, sat, spectral_norm
 
 
 class TestSat:
@@ -89,7 +88,3 @@ class TestReachability:
 def test_spectral_norm_diagonal():
     assert spectral_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0)
 
-
-def test_sym_eig_extremes():
-    lo, hi = sym_eig_extremes(np.diag([6.0, 1.0]))
-    assert (lo, hi) == (1.0, 6.0)
