@@ -4,10 +4,10 @@ parameterised uncertainty.
 """
 
 from .bounds import (BoundInputs, BoundSchedule, ComparisonFunctionSet,
-                     StabilityEnvelope, burn_in_time, check_condition,
-                     compute_schedule, contained_time, converge_time,
-                     error_envelope, gramian_upper, noise_bound,
-                     regressor_bound, stability_envelope, state_bound)
+                     StabilityEnvelope, check_condition, compute_schedule,
+                     contained_time, dense_times, error_envelope,
+                     gramian_upper, noise_bound, regressor_bound,
+                     stability_envelope, state_bound)
 from .certify import (ExcitationCertificate, LyapunovCertificate,
                       RpiCertificate, check_lyapunov, estimate_policy_lipschitz,
                       excitation_from_moments, lyapunov_drift, moment_scan,

@@ -5,11 +5,12 @@ and the explicit transient/steady-state stability envelope.
 
 Two search regimes coexist:
 
-* dense: exact chunked linear scans up to a user cap, matching a brute-force
-  oracle step for step (the default, and the only mode tests compare against
-  an oracle); a cap so far below the burn-in time that the predicate fails
-  at the cap even with the smallest cumulative sum possible is refuted in
-  O(1), without a scan;
+* dense: one exact chunked forward pass over the cumulative sums up to a
+  user cap yields both the burn-in and the converge time, matching a
+  brute-force oracle step for step (the default, and the only mode tests
+  compare against an oracle); a cap so far below the burn-in time that the
+  predicate fails at the cap even with the smallest cumulative sum possible
+  is refuted in O(1), without a pass;
 * certified-upper: when the exact search's cap is hopelessly below the true
   time (realistic configurations certify times around 1e9..1e17), a
   conservative mode replaces cumulative sums by the dominating bound
@@ -17,7 +18,7 @@ Two search regimes coexist:
   t >= T" quantifier on geometric probe brackets.  Results are flagged and
   are valid upper bounds, never claimed minimal.
 
-A BoundAnalysis runs these searches at most once per delta for one
+A BoundAnalysis runs each regime at most once per delta for one
 (inputs, x0, cap) and serves the schedule, the condition and the envelope.
 """
 
@@ -40,6 +41,10 @@ LAMBDA_FLOOR = 1e-30              # early exit for lambda-map iterates
 REFUTE_LOG_Q = -1.0               # margin of the O(1) burn-in cap refutation
 BISECT_STEPS = 60                 # most geometric bisection steps of a certified search
 CONTAINED_PROBE_CAP = 1e18        # doubling probe past which T_contained reads as inf
+LADDER_FINE_RATIO = 1.02          # certified probe ladder: fine spacing ...
+LADDER_FINE_DECADES = 1.0         # ... over this many decades above the start,
+LADDER_COARSE_RATIO = 2.0         # octaves beyond ...
+LADDER_T_MAX = 1e280              # ... up to this probe
 LAMBDA_GRID = 8192                # running-max grid points of a non-linear lambda map
 
 
@@ -173,7 +178,7 @@ class BoundInputs:
         """d-dependent part of the burn-in RHS (everything except the
         T-dependent log penalty and the trailing +1)."""
         a = self._burn_in_prefactor()
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):   # t = 1
             y = 16.0 * s_cum / (self.c_pe * self.p_pe * (t_arr - 1.0))
         return a * self.d * np.log1p(y)
 
@@ -220,10 +225,10 @@ class SearchResult:
         return self.value is not None
 
 
-def _chunk_ranges(lo: int, hi: int, chunk: int = DENSE_CHUNK):
+def _chunk_ranges(lo: int, hi: int):
     start = lo
     while start <= hi:
-        end = min(start + chunk - 1, hi)
+        end = min(start + DENSE_CHUNK - 1, hi)
         yield start, end
         start = end + 1
 
@@ -233,16 +238,48 @@ def _zsq_chunk(inputs: BoundInputs, delta3: float, x0, lo: int, hi: int) -> np.n
     return inputs.z_bar_sq(idx, delta3, x0)
 
 
-def burn_in_time(inputs: BoundInputs, delta: float, x0, cap: int) -> SearchResult:
-    """Smallest T <= cap such that the persistency-of-excitation onset
-    predicate holds for every t in [T, cap], reported only with a
-    slack-monotonicity witness at the cap.  Exact chunked linear scan,
-    skipped when an O(1) bound already rules out every T <= cap.
+def _dense_pass(inputs: BoundInputs, delta: float, x0, cap: int):
+    """One forward pass over s_cum(t) = sum_{i<=t} z_bar(i)^2 on [1, cap]:
+    the largest burn-in threshold r(t), the last t with the error envelope
+    above vartheta_bar (0 if none), and s_cum and e at the last min(3, cap) t.
+    """
+    delta3 = delta / 3.0
+    max_r, last_above, total = -math.inf, 0, 0.0
+    s_tail = e_tail = np.empty(0)
+    for lo, hi in _chunk_ranges(1, cap):
+        t_arr = np.arange(lo, hi + 1, dtype=float)
+        s_cum = np.cumsum(_zsq_chunk(inputs, delta3, x0, lo, hi)) + total
+        total = float(s_cum[-1])
+        q = np.exp(np.minimum(inputs._burn_in_log_q(t_arr, s_cum, delta), 700.0))
+        r = t_arr + 1.0 - q
+        # the predicate at t = 1 is 0/0 when z_bar(1) = 0; it never holds
+        max_r = max(max_r, float(np.max(np.where(np.isnan(r), t_arr + 1.0, r))))
+        e_vals = inputs.error_from_beta(t_arr, delta, s_cum + inputs.gamma)
+        above = np.nonzero(e_vals > inputs.vartheta_bar)[0]
+        if above.size:
+            last_above = lo + int(above[-1])
+        s_tail = np.concatenate([s_tail, s_cum[-3:]])[-3:]
+        e_tail = np.concatenate([e_tail, e_vals[-3:]])[-3:]
+    return max_r, last_above, s_tail, e_tail
 
-    The witness is evidence that the predicate keeps holding beyond the cap,
-    so the search is conservative: when the predicate's slack decreases over
-    t = cap-2..cap the result is not-found even if such a T exists (e.g. at
-    caps just above the smallest T), never a T the predicate rejects.
+
+def dense_times(inputs: BoundInputs, delta: float, x0, cap: int
+                ) -> tuple[SearchResult, SearchResult]:
+    """Exact burn-in and converge times up to cap from one chunked forward
+    pass, skipped when an O(1) bound already rules out every burn-in T <= cap.
+
+    Burn-in is the smallest T <= cap such that the persistency-of-excitation
+    onset predicate holds for every t in [T, cap].  The predicate at t holds
+    exactly when T >= r(t) = t + 1 - q(t), and r(t) <= t + 1 (also in
+    floats), so no t < T can exceed T: the smallest T is max(1, ceil(max r)).
+    It is reported only with a slack-monotonicity witness at the cap,
+    evidence that the predicate keeps holding beyond the cap, so the search
+    is conservative: when the predicate's slack decreases over t = cap-2..cap
+    the result is not-found even if such a T exists (e.g. at caps just above
+    the smallest T), never a T the predicate rejects.
+
+    Converge is max(burn-in, first time the error envelope stays below
+    vartheta_bar), with an eventual-decrease witness at the cap.
     """
     if not 0.0 < delta < 1.0:
         raise ContractViolation("delta must be in (0,1)")
@@ -250,112 +287,57 @@ def burn_in_time(inputs: BoundInputs, delta: float, x0, cap: int) -> SearchResul
     if cap < 1:
         raise ContractViolation("cap must be >= 1")
     if cap > DENSE_LIMIT:
-        raise ContractViolation(f"dense burn-in scan capped at {DENSE_LIMIT}")
-    delta3 = delta / 3.0
+        raise ContractViolation(f"dense scan capped at {DENSE_LIMIT}")
 
     # refutation: a T <= cap needs cap >= r(cap), i.e. q(cap) >= 1.  q falls
     # as s_cum grows, and s_cum(cap) >= cap z_bar(1)^2 since z_bar is
     # non-decreasing, so q at that smaller sum bounds q(cap) from above.
     t_cap = np.array([float(cap)])
-    s_low = t_cap * inputs.z_bar_sq(1.0, delta3, x0)
+    s_low = t_cap * inputs.z_bar_sq(1.0, delta / 3.0, x0)
     log_q_upper = float(inputs._burn_in_log_q(t_cap, s_low, delta)[0])
     if log_q_upper < REFUTE_LOG_Q:
-        return SearchResult(None, "not-found",
+        burn = SearchResult(None, "not-found",
                             {"cap": cap, "reason": "refuted: q(cap) < 1 by the "
                              "lower bound s_cum(cap) >= cap z_bar(1)^2",
                              "log_q_upper": log_q_upper})
+    else:
+        max_r, last_above, s_tail, e_tail = _dense_pass(inputs, delta, x0, cap)
+        burn = _burn_in_witness(inputs, delta, cap, max_r, s_tail)
+    if not burn.found:
+        return burn, SearchResult(None, "not-found",
+                                  {"reason": "burn-in not found", **burn.diagnostics})
 
-    # forward pass: cumulative sum checkpoints at chunk boundaries
-    checkpoints = {0: 0.0}
-    total = 0.0
-    for lo, hi in _chunk_ranges(1, cap):
-        total += float(np.sum(_zsq_chunk(inputs, delta3, x0, lo, hi)))
-        checkpoints[hi] = total
+    t_e = last_above + 1
+    if t_e > cap:
+        return burn, SearchResult(None, "not-found",
+                                  {"reason": "error envelope above vartheta_bar at cap",
+                                   "e_tail": e_tail.tolist(), "cap": cap})
+    if not np.all(np.diff(e_tail) <= 0.0):
+        return burn, SearchResult(None, "not-found",
+                                  {"reason": "error envelope not decreasing at cap",
+                                   "e_tail": e_tail.tolist(), "cap": cap})
+    return burn, SearchResult(max(burn.value, t_e), "exact",
+                              {"burn_in": burn.value, "first_below": t_e, "cap": cap})
 
-    # backward pass: r(t) = t + 1 - q(t); valid T satisfy T >= max_{t>=T} r(t)
-    best: Optional[int] = None
-    suffix_max = -math.inf
-    ranges = list(_chunk_ranges(1, cap))
-    for lo, hi in reversed(ranges):
-        zsq = _zsq_chunk(inputs, delta3, x0, lo, hi)
-        s_cum = np.cumsum(zsq) + checkpoints[lo - 1]
-        t_arr = np.arange(lo, hi + 1, dtype=float)
-        log_q = inputs._burn_in_log_q(t_arr, s_cum, delta)
-        q = np.exp(np.minimum(log_q, 700.0))
-        r = t_arr + 1.0 - q
-        run = np.maximum.accumulate(r[::-1])[::-1]
-        run = np.maximum(run, suffix_max)
-        ok = np.nonzero(t_arr >= run)[0]
-        if ok.size:
-            best = int(t_arr[ok[0]])
-        suffix_max = max(suffix_max, float(run[0]))
 
-    if best is None:
-        return SearchResult(None, "not-found",
-                            {"cap": cap, "suffix_max_r": suffix_max})
-
-    # tail witness: slack strictly increasing approaching the cap
-    probe = np.array([max(best, cap - 2), max(best, cap - 1), cap], dtype=float)
-    s_vals = []
-    for tv in probe:
-        ti = int(tv)
-        base = max(k for k in checkpoints if k <= ti - 1) if ti > 1 else 0
-        extra = 0.0
-        if ti >= 1 and base < ti:
-            extra = float(np.sum(_zsq_chunk(inputs, delta3, x0, base + 1, ti)))
-        s_vals.append(checkpoints.get(base, 0.0) + extra)
-    slack = (probe - 1.0 - inputs._burn_in_base(probe, np.array(s_vals))
-             - inputs._burn_in_penalty(probe, best, delta))
+def _burn_in_witness(inputs: BoundInputs, delta: float, cap: int, max_r: float,
+                     s_tail: np.ndarray) -> SearchResult:
+    """The burn-in T = max(1, ceil(max_r)), exact when T <= cap and the
+    predicate's slack does not decrease over t = max(T, cap-2)..cap (s_tail
+    holds s_cum at the last min(3, cap) t)."""
+    T = max(1, math.ceil(max_r))
+    if T > cap:
+        return SearchResult(None, "not-found", {"cap": cap, "max_r": max_r})
+    probe = np.maximum(T, np.arange(cap - 2, cap + 1))
+    s_probe = s_tail[probe - cap - 1]
+    probe = probe.astype(float)
+    slack = (probe - 1.0 - inputs._burn_in_base(probe, s_probe)
+             - inputs._burn_in_penalty(probe, T, delta))
     if not np.all(np.diff(slack) >= 0.0):
         return SearchResult(None, "not-found",
                             {"cap": cap, "reason": "slack not increasing at cap",
                              "slack_tail": slack.tolist()})
-    return SearchResult(best, "exact", {"cap": cap, "slack_tail": slack.tolist()})
-
-
-def converge_time(inputs: BoundInputs, delta: float, x0, cap: int,
-                  burn_in: Optional[SearchResult] = None) -> SearchResult:
-    """max(burn-in, first time the error envelope stays below vartheta_bar),
-    by exact dense scan with an eventual-decrease witness at the cap.
-    """
-    cap = int(cap)
-    if cap < 1:
-        raise ContractViolation("cap must be >= 1")
-    if cap > DENSE_LIMIT:
-        raise ContractViolation(f"dense converge scan capped at {DENSE_LIMIT}")
-    if burn_in is None:
-        burn_in = burn_in_time(inputs, delta, x0, cap)
-    if not burn_in.found:
-        return SearchResult(None, "not-found",
-                            {"reason": "burn-in not found", **burn_in.diagnostics})
-    delta3 = delta / 3.0
-    vbar = inputs.vartheta_bar
-    last_above = 0
-    total = 0.0
-    e_tail = []
-    for lo, hi in _chunk_ranges(1, cap):
-        zsq = _zsq_chunk(inputs, delta3, x0, lo, hi)
-        s_cum = np.cumsum(zsq) + total
-        total = float(s_cum[-1])
-        t_arr = np.arange(lo, hi + 1, dtype=float)
-        e_vals = inputs.error_from_beta(t_arr, delta, s_cum + inputs.gamma)
-        above = np.nonzero(e_vals > vbar)[0]
-        if above.size:
-            last_above = int(t_arr[above[-1]])
-        if hi == cap:
-            e_tail = e_vals[-3:].tolist()
-    t_e = last_above + 1
-    if t_e > cap:
-        return SearchResult(None, "not-found",
-                            {"reason": "error envelope above vartheta_bar at cap",
-                             "e_tail": e_tail, "cap": cap})
-    if len(e_tail) >= 2 and not all(np.diff(e_tail) <= 0.0):
-        return SearchResult(None, "not-found",
-                            {"reason": "error envelope not decreasing at cap",
-                             "e_tail": e_tail, "cap": cap})
-    value = max(int(burn_in.value), t_e)
-    return SearchResult(value, "exact",
-                        {"burn_in": burn_in.value, "first_below": t_e, "cap": cap})
+    return SearchResult(T, "exact", {"cap": cap, "slack_tail": slack.tolist()})
 
 
 def contained_time(inputs: BoundInputs, delta: float, x0) -> float:
@@ -378,8 +360,8 @@ def contained_time(inputs: BoundInputs, delta: float, x0) -> float:
     t = 1
     while t < CONTAINED_PROBE_CAP and xb(2 * t) <= radius:
         t *= 2
-    if 2 * t >= CONTAINED_PROBE_CAP:
-        return math.inf  # growth terms all zero below the probe cap
+    if t >= CONTAINED_PROBE_CAP:
+        return math.inf  # no probe up to the cap leaves the region
     lo, hi = t, 2 * t  # xb(lo) <= radius < xb(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -404,11 +386,10 @@ def _geometric_run(t0: float, ratio: float, limit: float) -> np.ndarray:
     return run[: int(np.argmax(run >= limit)) + 1]
 
 
-def _probe_ladder(t_start: float, fine_ratio: float = 1.02, fine_decades: float = 1.0,
-                  coarse_ratio: float = 2.0, t_max: float = 1e280) -> np.ndarray:
+def _probe_ladder(t_start: float) -> np.ndarray:
     """Geometric probe points: fine spacing near t_start, octaves beyond."""
-    fine = _geometric_run(t_start, fine_ratio, t_start * 10 ** fine_decades)
-    coarse = _geometric_run(fine[-1], coarse_ratio, t_max)
+    fine = _geometric_run(t_start, LADDER_FINE_RATIO, t_start * 10 ** LADDER_FINE_DECADES)
+    coarse = _geometric_run(fine[-1], LADDER_COARSE_RATIO, LADDER_T_MAX)
     return np.concatenate([fine, coarse[1:]])
 
 
@@ -476,23 +457,33 @@ def _bisect_verified(verify: Callable[[float], bool], lo: float, hi: float,
     return lo, hi, BISECT_STEPS
 
 
-def certified_burn_in_upper(inputs: BoundInputs, delta: float, x0,
-                            t_lo: float = 2.0) -> SearchResult:
-    """A certified upper bound on the burn-in time, using dominated sums and
-    geometric bracket verification.  Valid but not minimal.
-    """
-    t = max(float(t_lo), 2.0)
+def _certified_upper(verify: Callable[[float], bool], start: float,
+                     floor: float = -math.inf) -> Optional[SearchResult]:
+    """Double t from start until verify(t) holds, then bisect [t/2, t]: the
+    value max(floor, hi), rounded up to an integer below 2^53, as an upper
+    bound; None when no doubling probe below 1e200 verifies."""
+    t = start
     while t < 1e200:
-        if _verify_burn_in_upper(inputs, delta, x0, t):
+        if verify(t):
             break
         t *= 2.0
     else:
-        return SearchResult(None, "not-found", {"reason": "no verifiable T below 1e200"})
-    lo, hi, steps = _bisect_verified(
-        lambda T: _verify_burn_in_upper(inputs, delta, x0, T), t / 2.0, t)
-    value = math.ceil(hi) if hi < 2 ** 53 else hi
+        return None
+    lo, hi, steps = _bisect_verified(verify, t / 2.0, t, floor)
+    value = max(floor, hi)
+    value = math.ceil(value) if value < 2 ** 53 else value
     return SearchResult(value, "upper-bound",
                         {"bracket": (lo, hi), "bisection_steps": steps})
+
+
+def certified_burn_in_upper(inputs: BoundInputs, delta: float, x0) -> SearchResult:
+    """A certified upper bound on the burn-in time, using dominated sums and
+    geometric bracket verification.  Valid but not minimal.
+    """
+    found = _certified_upper(lambda T: _verify_burn_in_upper(inputs, delta, x0, T), 2.0)
+    if found is None:
+        return SearchResult(None, "not-found", {"reason": "no verifiable T below 1e200"})
+    return found
 
 
 def _error_num_den(inputs: BoundInputs, delta: float, x0, t_arr):
@@ -525,29 +516,20 @@ def _verify_error_below(inputs: BoundInputs, delta: float, x0, T: float,
 
 
 def certified_converge_upper(inputs: BoundInputs, delta: float, x0,
-                             burn_in_ub: Optional[SearchResult] = None) -> SearchResult:
-    """Certified upper bound on the converge time (conservative envelope)."""
-    if burn_in_ub is None:
-        burn_in_ub = certified_burn_in_upper(inputs, delta, x0)
+                             burn_in_ub: SearchResult) -> SearchResult:
+    """Certified upper bound on the converge time (conservative envelope),
+    no smaller than the certified burn-in bound burn_in_ub."""
     if not burn_in_ub.found:
         return SearchResult(None, "not-found", burn_in_ub.diagnostics)
-    vbar = inputs.vartheta_bar
-    t = max(float(burn_in_ub.value), 2.0)
-    while t < 1e200:
-        if _verify_error_below(inputs, delta, x0, t, vbar):
-            break
-        t *= 2.0
-    else:
+    floor = float(burn_in_ub.value)
+    found = _certified_upper(
+        lambda T: _verify_error_below(inputs, delta, x0, T, inputs.vartheta_bar),
+        max(floor, 2.0), floor)
+    if found is None:
         return SearchResult(None, "not-found",
                             {"reason": "error envelope never certified below vartheta_bar"})
-    lo, hi, steps = _bisect_verified(
-        lambda T: _verify_error_below(inputs, delta, x0, T, vbar), t / 2.0, t,
-        floor=float(burn_in_ub.value))
-    value = max(float(burn_in_ub.value), hi)
-    value = math.ceil(value) if value < 2 ** 53 else value
-    return SearchResult(value, "upper-bound",
-                        {"burn_in_ub": burn_in_ub.value, "bracket": (lo, hi),
-                         "bisection_steps": steps})
+    found.diagnostics["burn_in_ub"] = burn_in_ub.value
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +580,10 @@ class BoundAnalysis:
     most once per delta and shared by compute_schedule, check_condition and
     stability_envelope.
 
-    The dense searches run on the first use of a delta; the certified
-    conservative searches run only when the dense converge search comes up
-    empty and the caller allows the conservative mode.
+    On the first use of a delta, one dense forward pass up to the cap (or
+    its O(1) refutation) gives the exact burn-in and converge times; the
+    certified conservative searches run only when the dense converge time
+    comes up empty and the caller allows the conservative mode.
     """
 
     def __init__(self, inputs: BoundInputs, x0, cap: int):
@@ -615,12 +598,9 @@ class BoundAnalysis:
         return self._memo[key]
 
     def dense(self, delta: float) -> tuple[SearchResult, SearchResult]:
-        """Exact burn-in and converge results at delta (dense scans)."""
-        def run():
-            burn = burn_in_time(self.inputs, delta, self.x0, self.cap)
-            return burn, converge_time(self.inputs, delta, self.x0, self.cap,
-                                       burn_in=burn)
-        return self._once(("dense", delta), run)
+        """Exact burn-in and converge results at delta (one dense pass)."""
+        return self._once(("dense", delta),
+                          lambda: dense_times(self.inputs, delta, self.x0, self.cap))
 
     def certified(self, delta: float) -> tuple[SearchResult, SearchResult]:
         """Certified upper bounds on the burn-in and converge times at delta."""
@@ -638,7 +618,7 @@ class BoundAnalysis:
               ) -> tuple[SearchResult, SearchResult]:
         """Burn-in and converge results at delta: the exact minima, replaced
         by the certified upper bounds that exist when the dense converge
-        search comes up empty and conservative mode is allowed."""
+        time comes up empty and conservative mode is allowed."""
         burn, conv = self.dense(delta)
         if not conv.found and conservative:
             burn_ub, conv_ub = self.certified(delta)

@@ -254,12 +254,7 @@ def cmd_sweep(args) -> int:
         swept = {**cfg, "system": {**cfg["system"],
                                    "params": {**cfg["system"].get("params", {}),
                                               args.param: value}}}
-        try:
-            bundle = build_bundle(swept, seed=seed)
-        except TypeError as exc:
-            raise ConfigError(f"unknown sweep parameter {args.param!r}") from exc
-        except ConfigError:
-            raise
+        bundle = build_bundle(swept, seed=seed)
         inputs = bundle.bound_inputs()
         analysis = bnd.BoundAnalysis(inputs, bundle.x0, cap)
         condition = bnd.check_condition(inputs, delta, bundle.x0, cap, analysis=analysis)

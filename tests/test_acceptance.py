@@ -109,7 +109,7 @@ def test_acceptance_3_pe_empirical(pwa_bundle, timed_paper_ensemble):
     start = time.monotonic()
     inputs = pwa_bundle.bound_inputs()
     delta = 0.1
-    burn = B.burn_in_time(inputs, delta, cfg.x0, cap=100_000)
+    burn, _ = B.dense_times(inputs, delta, cfg.x0, cap=100_000)
     t_from = int(min(burn.value, cfg.horizon)) if burn.found else cfg.horizon
     c_pe, p_pe = inputs.c_pe, inputs.p_pe
     gamma = cfg.gamma
@@ -150,10 +150,9 @@ def test_acceptance_4_bound_formula_suite():
 
     # searches vs the literal linear-scan oracle at cap 1e5
     cap = 100_000
-    fast = B.burn_in_time(inp, 0.1, [0.5], cap)
+    fast, conv = B.dense_times(inp, 0.1, [0.5], cap)
     slow = oracle_burn_in(inp, 0.1, [0.5], min(cap, 4000))
     checks.append(fast.value == slow)  # minimal T is below 4000 here
-    conv = B.converge_time(inp, 0.1, [0.5], cap)
     checks.append(conv.found and conv.value == fast.value)
     tc = B.contained_time(inp, 0.1, [0.5])
     xb = inp.x_bar(np.arange(1, int(tc) + 2, dtype=float), 0.1 / 3, [0.5])

@@ -145,7 +145,7 @@ class TestErrorEnvelope:
 def oracle_burn_in(inp, delta, x0, cap, witness=False):
     """Literal double-loop search over the printed predicate.  With witness,
     a T is kept only when the predicate's slack does not decrease over the
-    last three t up to the cap, the evidence burn_in_time asks for before it
+    last three t up to the cap, the evidence dense_times asks for before it
     reports a T as holding beyond the cap."""
     d3 = delta / 3.0
     t = np.arange(1, cap + 1, dtype=float)
@@ -171,27 +171,38 @@ def oracle_burn_in(inp, delta, x0, cap, witness=False):
     return T
 
 
+def oracle_converge(inp, delta, x0, cap):
+    """max(oracle burn-in, one past the last t with the exact envelope above
+    vartheta_bar)."""
+    t = np.arange(1, cap + 1, dtype=float)
+    zb = inp.z_bar(t, delta / 3.0, x0)
+    e = inp.error_from_beta(t, delta, np.cumsum(zb ** 2) + inp.gamma)
+    above = np.nonzero(e > inp.vartheta_bar)[0]
+    t_e = int(t[above[-1]]) + 1 if above.size else 1
+    return max(oracle_burn_in(inp, delta, x0, cap), t_e)
+
+
 class TestSearches:
     def test_burn_in_matches_oracle(self):
         inp = make_inputs()
         for cap in (800, 3000):
-            got = B.burn_in_time(inp, 0.1, [0.5], cap)
+            got = B.dense_times(inp, 0.1, [0.5], cap)[0]
             want = oracle_burn_in(inp, 0.1, [0.5], cap)
             assert got.value == want
 
     def test_burn_in_not_found_when_tiny_probability(self):
         inp = make_inputs(p_pe=1e-9, c_pe=1e-8)
-        got = B.burn_in_time(inp, 0.1, [0.5], 2000)
+        got = B.dense_times(inp, 0.1, [0.5], 2000)[0]
         assert not got.found
 
     def test_burn_in_decreases_with_more_excitation(self):
-        lo = B.burn_in_time(make_inputs(p_pe=0.10), 0.1, [0.5], 20_000)
-        hi = B.burn_in_time(make_inputs(p_pe=0.24), 0.1, [0.5], 20_000)
+        lo = B.dense_times(make_inputs(p_pe=0.10), 0.1, [0.5], 20_000)[0]
+        hi = B.dense_times(make_inputs(p_pe=0.24), 0.1, [0.5], 20_000)[0]
         assert hi.value <= lo.value
 
     def test_converge_matches_oracle(self):
         inp = make_inputs()
-        got = B.converge_time(inp, 0.1, [0.5], 3000)
+        got = B.dense_times(inp, 0.1, [0.5], 3000)[1]
         # oracle: last crossing of the exact envelope plus burn-in max
         t = np.arange(1, 3001, dtype=float)
         zb = inp.z_bar(t, 0.1 / 3.0, [0.5])
@@ -202,14 +213,32 @@ class TestSearches:
 
     def test_converge_dominated_by_burn_in(self):
         inp = make_inputs(vartheta_bar=1e9)
-        got = B.converge_time(inp, 0.1, [0.5], 3000)
-        burn = B.burn_in_time(inp, 0.1, [0.5], 3000)
+        burn, got = B.dense_times(inp, 0.1, [0.5], 3000)
         assert got.value == burn.value
 
     def test_converge_trivial_when_error_zero(self):
         inp = make_inputs(sigma_w=0.0, theta_star_frob=0.0)
-        got = B.converge_time(inp, 0.1, [0.5], 3000)
+        got = B.dense_times(inp, 0.1, [0.5], 3000)[1]
         assert got.diagnostics["first_below"] == 1
+
+    def test_undefined_predicate_at_t1_is_skipped(self):
+        """With u_max = 0 and x0 = 0, z_bar(1) = 0 and r(1) is 0/0; the pass
+        skips it and finds the times the oracle finds."""
+        inp = make_inputs(u_max=0.0)
+        burn, conv = B.dense_times(inp, 0.1, [0.0], 3000)
+        assert burn.value == conv.value == 1790
+        assert burn.value == oracle_burn_in(inp, 0.1, [0.0], 3000, witness=True)
+
+    def test_multi_chunk_pass_matches_oracles(self, monkeypatch):
+        """Chunks of a few points, with caps whose last three t straddle a
+        chunk boundary, give the oracles' burn-in and converge times."""
+        inp = make_inputs()
+        for chunk, caps in ((2, (2001, 2002)), (7, (2003, 2004)), (1000, (3001, 3002))):
+            monkeypatch.setattr(B, "DENSE_CHUNK", chunk)
+            for cap in caps:
+                burn, conv = B.dense_times(inp, 0.1, [0.5], cap)
+                assert burn.value == oracle_burn_in(inp, 0.1, [0.5], cap, witness=True)
+                assert conv.value == oracle_converge(inp, 0.1, [0.5], cap)
 
     def test_contained_binary_search_matches_linear_scan(self):
         inp = make_inputs()
@@ -227,6 +256,20 @@ class TestSearches:
         inp = make_inputs(rpi_region=RegionDescriptor.interval(-0.1, 0.1))
         assert B.contained_time(inp, 0.1, [5.0]) == 0
 
+    def test_contained_crossing_at_the_last_doubling_probe(self):
+        """A crossing near 8e17 is found by the last doubling probe, past
+        CONTAINED_PROBE_CAP / 2: T_contained is finite, not inf."""
+        tiny = K.scaled_identity(1e-300)
+        inp = make_inputs(cfs=simple_cfs(chi3=tiny, chi4=tiny), sigma_w=0.0,
+                          rpi_region=RegionDescriptor.interval(-8e8, 8e8))
+        tc = B.contained_time(inp, 0.1, [0.5])
+        assert B.CONTAINED_PROBE_CAP / 2 < tc < B.CONTAINED_PROBE_CAP
+        radius = inp.rpi_region.max_norm()
+        assert inp.x_bar(float(tc), 0.1 / 3.0, [0.5]) <= radius
+        assert inp.x_bar(float(tc + 1), 0.1 / 3.0, [0.5]) > radius
+        reason = B.check_condition(inp, 0.1, [0.5], 2000)["delta"]["reason"]
+        assert "inf" not in reason
+
     def test_contained_monotone_in_radius(self):
         prev = 0
         for r in (5.0, 20.0, 80.0, 320.0):
@@ -237,11 +280,10 @@ class TestSearches:
 
     def test_certified_upper_bounds_exceed_exact(self):
         inp = make_inputs()
-        exact = B.burn_in_time(inp, 0.1, [0.5], 10_000)
+        exact, cv = B.dense_times(inp, 0.1, [0.5], 10_000)
         ub = B.certified_burn_in_upper(inp, 0.1, [0.5])
         assert ub.found and ub.value >= exact.value
-        cu = B.certified_converge_upper(inp, 0.1, [0.5])
-        cv = B.converge_time(inp, 0.1, [0.5], 10_000)
+        cu = B.certified_converge_upper(inp, 0.1, [0.5], burn_in_ub=ub)
         assert cu.found and cu.value >= cv.value
 
 
@@ -360,14 +402,14 @@ class TestRefutation:
         T = oracle_burn_in(inp, 0.1, [0.5], 3000)
         # largest cap the bound refutes: from there on the dense scan runs
         c_r = 1
-        while self.refuted(B.burn_in_time(inp, 0.1, [0.5], c_r + 1)):
+        while self.refuted(B.dense_times(inp, 0.1, [0.5], c_r + 1)[0]):
             c_r += 1
-        assert self.refuted(B.burn_in_time(inp, 0.1, [0.5], c_r))
+        assert self.refuted(B.dense_times(inp, 0.1, [0.5], c_r)[0])
         for cap in (c_r - 1, c_r, c_r + 1, T - 1, T, T + 1, 2 * T):
-            got = B.burn_in_time(inp, 0.1, [0.5], cap)
+            got = B.dense_times(inp, 0.1, [0.5], cap)[0]
             assert got.value == oracle_burn_in(inp, 0.1, [0.5], cap, witness=True)
             assert self.refuted(got) == (cap <= c_r)
-        assert B.burn_in_time(inp, 0.1, [0.5], 2 * T).value == T
+        assert B.dense_times(inp, 0.1, [0.5], 2 * T)[0].value == T
 
     @given(slope=st.floats(1e-3, 0.5), u_max=st.floats(0.05, 1.0),
            sigma_w=st.floats(0.0, 0.1), d=st.integers(1, 3),
@@ -379,7 +421,7 @@ class TestRefutation:
                                      delta, x0, cap):
         inp = make_inputs(cfs=simple_cfs(chi3=K.scaled_identity(slope)),
                           u_max=u_max, sigma_w=sigma_w, d=d, c_pe=c_pe, p_pe=p_pe)
-        got = B.burn_in_time(inp, delta, [x0], cap)
+        got = B.dense_times(inp, delta, [x0], cap)[0]
         assert got.value == oracle_burn_in(inp, delta, [x0], cap, witness=True)
 
     def test_witness_failure_is_conservative(self):
@@ -387,7 +429,7 @@ class TestRefutation:
         slack decreases at the cap, so the search reports not-found."""
         inp = make_inputs()
         assert oracle_burn_in(inp, 0.1, [0.5], 1850) is not None
-        got = B.burn_in_time(inp, 0.1, [0.5], 1850)
+        got = B.dense_times(inp, 0.1, [0.5], 1850)[0]
         assert got.mode == "not-found"
         assert got.diagnostics["reason"] == "slack not increasing at cap"
 
@@ -395,7 +437,7 @@ class TestRefutation:
         def no_scan(*args):
             raise AssertionError("a dense chunk was scanned")
         monkeypatch.setattr(B, "_zsq_chunk", no_scan)
-        got = B.burn_in_time(make_inputs(p_pe=1e-9, c_pe=1e-8), 0.1, [0.5], 2000)
+        got = B.dense_times(make_inputs(p_pe=1e-9, c_pe=1e-8), 0.1, [0.5], 2000)[0]
         assert got.mode == "not-found"
         assert got.diagnostics["reason"].startswith("refuted")
         assert got.diagnostics["log_q_upper"] < B.REFUTE_LOG_Q

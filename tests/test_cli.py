@@ -230,10 +230,11 @@ class TestSweep:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_unknown_param_exit_2(self, pwa_config, tmp_path):
+    def test_unknown_param_exit_2(self, pwa_config, tmp_path, capsys):
         rc = main(["sweep", pwa_config, "--param", "bogus", "--values", "1,2",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert "bogus" in capsys.readouterr().err
 
     def test_gamma_sweep_error_at_t1_constant(self, tmp_path):
         """At t = 1 and sigma_w = 0 the regulariser cancels: e(1) = |theta*|_F
@@ -253,7 +254,7 @@ class TestSweep:
         assert vals[0] == pytest.approx(np.sqrt(1.0 + 0.01))  # |theta*|_F
 
 
-SEARCHES = ("burn_in_time", "certified_burn_in_upper", "certified_converge_upper")
+SEARCHES = ("dense_times", "certified_burn_in_upper", "certified_converge_upper")
 
 
 @pytest.fixture
@@ -270,8 +271,8 @@ def search_calls(monkeypatch):
 
 
 def test_each_search_runs_once_per_delta(search_calls, tmp_path):
-    """bounds and sweep build one bound analysis per bundle: the burn-in
-    search and the two certified searches run at most once per delta."""
+    """bounds and sweep build one bound analysis per bundle: the dense
+    pass and the two certified searches run at most once per delta."""
     configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     pwa, linear = (os.path.join(configs, f"{name}.json") for name in ("pwa", "linear"))
     assert main(["bounds", pwa, "--out", str(tmp_path / "pwa")]) == 0
@@ -282,13 +283,13 @@ def test_each_search_runs_once_per_delta(search_calls, tmp_path):
         keys = [(id(inputs), delta) for inputs, delta in log]
         assert len(keys) == len(set(keys)), name
     # five bundles (two bounds commands, three sweep values), two deltas each
-    assert len(search_calls["burn_in_time"]) == 10
+    assert len(search_calls["dense_times"]) == 10
 
 
 def test_simulate_runs_no_certified_search(search_calls, pwa_config, tmp_path):
     assert main(["simulate", pwa_config, "--trials", "1",
                  "--out", str(tmp_path / "sim")]) == 0
-    assert len(search_calls["burn_in_time"]) == 1
+    assert len(search_calls["dense_times"]) == 1
     assert not search_calls["certified_burn_in_upper"]
     assert not search_calls["certified_converge_upper"]
 

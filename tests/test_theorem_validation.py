@@ -67,7 +67,7 @@ def dither_ensemble(dither_plant):
 
 def test_burn_in_is_reachable(dither_plant):
     _, _, inputs = dither_plant
-    burn = B.burn_in_time(inputs, DELTA, [0.0], cap=200_000)
+    burn, _ = B.dense_times(inputs, DELTA, [0.0], cap=200_000)
     assert burn.found and burn.mode == "exact"
     assert burn.value < HORIZON
 
@@ -77,7 +77,7 @@ def test_error_envelope_event_at_confidence(dither_plant, dither_ensemble):
     on) must hold in at least a 1 - delta fraction of trials."""
     sysm, _, inputs = dither_plant
     cfg, stats, trajectories = dither_ensemble
-    burn = B.burn_in_time(inputs, DELTA, [0.0], cap=200_000)
+    burn, _ = B.dense_times(inputs, DELTA, [0.0], cap=200_000)
     t = np.arange(1, HORIZON + 1, dtype=float)
     zb = inputs.z_bar(t, DELTA / 3.0, [0.0])
     e = inputs.error_from_beta(t, DELTA, np.cumsum(zb ** 2) + inputs.gamma)
@@ -101,7 +101,7 @@ def test_pe_line_event_at_confidence(dither_plant, dither_ensemble):
     time on, in at least a 1 - delta fraction of trials."""
     _, _, inputs = dither_plant
     cfg, _, trajectories = dither_ensemble
-    burn = B.burn_in_time(inputs, DELTA, [0.0], cap=200_000)
+    burn, _ = B.dense_times(inputs, DELTA, [0.0], cap=200_000)
     t = np.arange(1, HORIZON + 1, dtype=float)
     line = inputs.c_pe * inputs.p_pe / 4.0 * (t - 1.0) + GAMMA
     hits = 0
