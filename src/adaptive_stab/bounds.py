@@ -40,7 +40,7 @@ DENSE_LIMIT = 50_000_000          # largest cap the exact scans will attempt
 LAMBDA_FLOOR = 1e-30              # early exit for lambda-map iterates
 REFUTE_LOG_Q = -1.0               # margin of the O(1) burn-in cap refutation
 BISECT_STEPS = 60                 # most geometric bisection steps of a certified search
-CONTAINED_PROBE_CAP = 1e18        # doubling probe past which T_contained reads as inf
+CONTAINED_PROBE_CAP = 1e18        # doubling probes stop here; T_contained is then a lower bound
 LADDER_FINE_RATIO = 1.02          # certified probe ladder: fine spacing ...
 LADDER_FINE_DECADES = 1.0         # ... over this many decades above the start,
 LADDER_COARSE_RATIO = 2.0         # octaves beyond ...
@@ -342,8 +342,11 @@ def _burn_in_witness(inputs: BoundInputs, delta: float, cap: int, max_r: float,
 
 def contained_time(inputs: BoundInputs, delta: float, x0) -> float:
     """Largest T with the confidence-delta/3 state bound inside the invariant
-    region; math.inf when the invariant region covers the state space, 0 when
-    even T = 1 fails.
+    region; math.inf only when the invariant region covers the state space,
+    0 when even T = 1 fails.  When no doubling probe up to
+    CONTAINED_PROBE_CAP leaves the region, the last probe (2^60) is returned:
+    the state bound is inside up to it, so it is a lower bound on the largest
+    T, and a condition checked against it errs on the safe side.
     """
     rpi = inputs.rpi_region
     space = inputs.state_space
@@ -361,7 +364,7 @@ def contained_time(inputs: BoundInputs, delta: float, x0) -> float:
     while t < CONTAINED_PROBE_CAP and xb(2 * t) <= radius:
         t *= 2
     if t >= CONTAINED_PROBE_CAP:
-        return math.inf  # no probe up to the cap leaves the region
+        return t  # no probe up to the cap leaves the region: a lower bound
     lo, hi = t, 2 * t  # xb(lo) <= radius < xb(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -684,8 +687,9 @@ def _condition_verdict(inputs: BoundInputs, delta: float, x0,
     if conv.found:
         if conv.value + 1 <= t_cont:
             basis = "exact" if conv.mode == "exact" else "certified upper bound"
+            bound = " (lower bound)" if t_cont >= CONTAINED_PROBE_CAP else ""
             return True, (f"T_converge {basis} {conv.value:g} + 1 <= "
-                          f"T_contained {t_cont:g}")
+                          f"T_contained {t_cont:g}{bound}")
         if conv.mode == "exact":
             return False, (f"T_converge = {conv.value:g} exceeds "
                            f"T_contained = {t_cont:g} - 1")
@@ -900,9 +904,10 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
     t0 = conv.value
     mode = "dense" if conv.mode == "exact" else "conservative"
     if not math.isinf(t_cont) and t0 + 1 > t_cont:
+        bound = " (lower bound)" if t_cont >= CONTAINED_PROBE_CAP else ""
         raise CertificationError(
             f"stability condition fails at delta/2: T_converge {t0:g} + 1 > "
-            f"T_contained {t_cont:g}")
+            f"T_contained {t_cont:g}{bound}")
 
     plateau = float(inputs.x_bar(t0 + 1, delta / 6.0, x0))
     t0p1 = t0 + 1  # exponent offset in the printed eta2/beta2 construction

@@ -270,6 +270,24 @@ class TestSearches:
         reason = B.check_condition(inp, 0.1, [0.5], 2000)["delta"]["reason"]
         assert "inf" not in reason
 
+    def test_contained_lower_bound_when_no_probe_leaves(self):
+        """The state bound leaves [-5e8, 5e8] only near 5e18 (x_bar(6e18) is
+        6.0e8), past the last doubling probe 2^60: T_contained is that probe,
+        a finite lower bound, not inf, and the verdict says so."""
+        tiny = K.scaled_identity(1e-300)
+        inp = make_inputs(cfs=simple_cfs(chi1=K.scaled_identity(1e-10), chi3=tiny,
+                                         chi4=tiny),
+                          sigma_w=0.0, rpi_region=RegionDescriptor.interval(-5e8, 5e8))
+        radius = inp.rpi_region.max_norm()
+        assert inp.x_bar(6e18, 0.1 / 3.0, [0.5]) > radius
+        tc = B.contained_time(inp, 0.1, [0.5])
+        assert tc == 2 ** 60
+        assert inp.x_bar(float(tc), 0.1 / 3.0, [0.5]) <= radius
+        for verdict in B.check_condition(inp, 0.1, [0.5], 2000).values():
+            assert verdict["T_contained"] == 2 ** 60
+            assert "inf" not in verdict["reason"]
+            assert "lower bound" in verdict["reason"]
+
     def test_contained_monotone_in_radius(self):
         prev = 0
         for r in (5.0, 20.0, 80.0, 320.0):

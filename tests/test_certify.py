@@ -186,19 +186,63 @@ class TestBlockedMomentScan:
         assert abs(c2 - r2) <= 1e-12 * max(r2, var_scale)
         assert diag["argmin"] == r_argmin
 
-    @pytest.mark.parametrize("rows", [MOMENT_BLOCK - 1, 1337, 3 * MOMENT_BLOCK])
-    def test_opposite_directions_bit_equal(self, rows):
+    @pytest.mark.parametrize("rows, d", [
+        pytest.param(rows, d, id=f"{rows}" if d == 3 else f"{rows}-d2")
+        for d in (3, 2) for rows in (MOMENT_BLOCK - 1, 1337, 3 * MOMENT_BLOCK)])
+    def test_opposite_directions_bit_equal(self, rows, d):
+        """d = 2 takes the half-plane kernel, d = 3 the blocked one."""
         rng = np.random.default_rng(rows)
-        z = rng.standard_normal((rows, 3))
-        half = _unit_directions(3, 128, rng)
+        z = rng.standard_normal((rows, d))
+        half = _unit_directions(d, 128, rng)
         zetas = np.vstack([half, -half])
-        abs_sum, sq_sum = _projection_moments(
-            z, zetas, np.empty((MOMENT_BLOCK, len(zetas))))
+        abs_sum, sq_sum = _projection_moments(zetas)(z)
         k = len(half)
         assert np.array_equal(abs_sum[:k], abs_sum[k:])
         assert np.array_equal(sq_sum[:k], sq_sum[k:])
         assert np.allclose(abs_sum, np.abs(z @ zetas.T).sum(axis=0), rtol=1e-12, atol=0)
         assert np.allclose(sq_sum, np.square(z @ zetas.T).sum(axis=0), rtol=1e-12, atol=0)
+
+    @staticmethod
+    def exact_abs_sums(z, zetas):
+        return np.array([math.fsum(np.abs(z @ zeta)) for zeta in zetas])
+
+    def test_half_plane_sums_at_pwa_scale(self):
+        """pwa samples z = (x, 1{|x| <= x_bar} u) are nearly horizontal:
+        |z_1| near 3e3, |z_2| near 0.1, and rows with u switched off lie on
+        the horizontal axis.  The half-plane sums of the first coordinate are
+        of order N * 3e3, so any cancellation between them shows against
+        directions near the vertical axis."""
+        rng = np.random.default_rng(11)
+        zetas = _unit_directions(2, 256, rng)
+        zetas = np.vstack([zetas, -zetas])
+        moments = _projection_moments(zetas)
+        for x0 in (-3e3, 2999.9, 3e3):
+            x = x0 + rng.uniform(-0.1, 0.1, 10_000)
+            u = rng.uniform(-0.1, 0.1, 10_000) * (np.abs(x) <= 3e3)
+            z = np.column_stack([x, u])
+            abs_sum, _ = moments(z)
+            k = len(zetas) // 2
+            assert np.array_equal(abs_sum[:k], abs_sum[k:])
+            assert np.allclose(abs_sum, self.exact_abs_sums(z, zetas), rtol=1e-12, atol=0)
+            assert np.allclose(abs_sum, np.abs(z @ zetas.T).sum(axis=0), rtol=1e-12, atol=0)
+
+    def test_half_plane_sums_on_the_angular_edges(self):
+        """Rows at the origin, on both sides of the +-pi cut of arctan2, and
+        on the boundary lines of the scan directions, next to generic rows
+        that keep every sum away from zero."""
+        rng = np.random.default_rng(5)
+        half = _unit_directions(2, 64, rng)
+        zetas = np.vstack([half, -half])
+        on_lines = (np.column_stack([-half[:, 1], half[:, 0]])
+                    * rng.uniform(0.5, 2.0, (len(half), 1)))
+        edges = np.array([[0.0, 0.0], [-0.0, -0.0], [-1.0, 0.0], [-1.0, -0.0],
+                          [1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]])
+        z = np.vstack([edges, on_lines, -on_lines, rng.standard_normal((40, 2))])
+        abs_sum, _ = _projection_moments(zetas)(z)
+        k = len(half)
+        assert np.array_equal(abs_sum[:k], abs_sum[k:])
+        assert np.allclose(abs_sum, self.exact_abs_sums(z, zetas), rtol=1e-12, atol=0)
+        assert np.allclose(abs_sum, np.abs(z @ zetas.T).sum(axis=0), rtol=1e-12, atol=0)
 
     def test_peak_memory_independent_of_the_full_projection_array(self, pwa_bundle):
         """At 20 000 samples one (mc, 256) float64 projection array is 41 MB;
@@ -306,6 +350,83 @@ class TestRpiSampler:
             "quantile": GAUSSIAN_TRUNCATION,
             "radius": noise.norm_quantile(GAUSSIAN_TRUNCATION)}
         assert trunc["dither"] is None
+
+
+def looped_rpi_check(sys, policy, region, vartheta_bar, sample_budget, seed):
+    """rpi_check with one step per (theta, s, w): (samples_checked,
+    falsified, truncation) of the scan order the certificate reports."""
+    xs, s_pts, w_pts, thetas, truncation = certify._rpi_samples(
+        sys, policy, region, vartheta_bar, sample_budget, seed)
+    checked = 0
+    for theta in thetas:
+        for s in s_pts:
+            u = np.asarray(policy.eval(xs, np.broadcast_to(s, (len(xs), len(s))), theta),
+                           dtype=float)
+            for w in w_pts:
+                nxt = step(sys, xs, u, np.broadcast_to(w, (len(xs), sys.n)))
+                inside = region.contains(nxt)
+                checked += len(xs)
+                if not np.all(inside):
+                    i = int(np.argmin(inside))
+                    return checked, {"x": xs[i].tolist(), "s": s.tolist(),
+                                     "w": w.tolist(), "theta": theta.tolist(),
+                                     "exit_state": nxt[i].tolist()}, truncation
+    return checked, None, truncation
+
+
+def pwa_case(vartheta_bar=None):
+    def build(request):
+        bundle = request.getfixturevalue("pwa_bundle")
+        return (bundle.system, bundle.policy, bundle.rpi.region,
+                vartheta_bar or bundle.rpi.vartheta_bar)
+    return build
+
+
+def contracting_case(noise, lows, highs):
+    def build(request):
+        sys, policy = contracting_plant(noise)
+        return sys, policy, RegionDescriptor.box(lows, highs), 0.1
+    return build
+
+
+class TestRpiBatchedScan:
+    """One step per (theta, s) over all noise points reports what a loop
+    over (theta, s, w) reports."""
+
+    CASES = {
+        "pwa-holds": pwa_case(),
+        "pwa-oversized-radius": pwa_case(1.0),
+        # x/2 + w leaves [-1, 0.2] only under the upper noise corner, the
+        # second support point
+        "exit-at-second-noise-point": contracting_case(
+            NoiseModel.uniform_box([0.3]), [-1.0], [0.2]),
+        "gaussian-holds": contracting_case(
+            NoiseModel.gaussian(0.01 * np.eye(2)), [-10.0, -10.0], [10.0, 10.0]),
+        "gaussian-exit": contracting_case(
+            NoiseModel.gaussian(0.01 * np.eye(2)), [-10.0, -10.0], [0.3, 10.0]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_matches_the_per_noise_point_loop(self, request, case, seed):
+        sys, policy, region, vartheta_bar = self.CASES[case](request)
+        cert = rpi_check(sys, policy, region, vartheta_bar, sample_budget=20_000, seed=seed)
+        checked, falsified, truncation = looped_rpi_check(
+            sys, policy, region, vartheta_bar, 20_000, seed)
+        assert cert.samples_checked == checked
+        assert cert.falsified == falsified
+        assert cert.truncation == truncation
+        assert cert.holds == case.endswith("holds")
+        assert (truncation is not None) == case.startswith("gaussian")
+
+    def test_first_exit_after_the_first_noise_point(self, request):
+        sys, policy, region, vartheta_bar = \
+            self.CASES["exit-at-second-noise-point"](request)
+        cert = rpi_check(sys, policy, region, vartheta_bar, sample_budget=20_000, seed=2)
+        xs, _, w_pts, _, _ = certify._rpi_samples(sys, policy, region, vartheta_bar,
+                                                  20_000, 2)
+        assert cert.falsified["w"] == w_pts[1].tolist()
+        assert cert.samples_checked == 2 * len(xs)
 
 
 class TestPolicyLipschitz:
