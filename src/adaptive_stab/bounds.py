@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CertificationError, ContractViolation, MissingPrerequisite
-from .kfuncs import MonotoneFn, numeric_inverse, scaled_identity
+from .kfuncs import MonotoneFn, scaled_identity
 from .regions import RegionDescriptor
 
 DENSE_CHUNK = 1_000_000
@@ -732,8 +732,8 @@ class LambdaMap:
     The running max over [0, s] (rather than a fixed interval) is what makes
     lam(s) < s hold for every s > 0; with a fixed interval the property fails
     below the interval's maximiser.  When alpha_v is linear the map collapses
-    to lam(s) = (1 - slope/4) s, which also admits a log-domain iterate for
-    arguments far outside double range.
+    to lam(s) = (1 - slope/4) s, whose iterates have the log-domain closed
+    form used by ``iterate``.
     """
 
     def __init__(self, alpha_v: MonotoneFn, s_max: float = 1e6):
@@ -773,65 +773,52 @@ class LambdaMap:
     # iterate, a valid upper bound on lam^k(y) since iterates decrease
     ITER_BUDGET = 200_000
 
-    def iterate(self, y: float, k: int) -> float:
-        """lam^k(y), early-exited once negligible; for non-linear maps with
-        k beyond the iteration budget the value returned is an upper bound."""
-        if k < 0:
+    def iterate(self, ys, ks):
+        """lam^k(y) elementwise over the broadcast of ys and ks; scalars give
+        a float.  lam^0 is the identity.  Counts stay floats, so a linear map
+        takes counts far beyond int64 (certified times reach ~1e20).  A
+        non-linear map follows one orbit per distinct y, harvested at each
+        count as it passes, with each iterate set to 0 once below
+        LAMBDA_FLOOR; past ITER_BUDGET compositions the value returned is an
+        upper bound."""
+        ys_arr, ks_arr = np.broadcast_arrays(np.asarray(ys, dtype=float),
+                                             np.asarray(ks, dtype=float))
+        if np.any(ks_arr < 0):
             raise ContractViolation("iteration count must be >= 0")
         if self.slope is not None:
-            log_v = math.log(y) + k * math.log(self.ratio) if y > 0 else -math.inf
-            return math.exp(log_v) if log_v > -690 else 0.0
-        v = float(y)
-        for _ in range(min(int(k), self.ITER_BUDGET)):
-            if v < LAMBDA_FLOOR:
-                return 0.0
-            v = float(self(v))
-        return v
-
-    def iterate_batch(self, ys: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Vectorised lam^{ks[i]}(ys[i]); sweeps all elements together and
-        harvests each at its own composition count.
-        """
-        ys = np.asarray(ys, dtype=float)
-        ks = np.asarray(ks, dtype=int)
-        if self.slope is not None:
-            log_v = np.where(ys > 0, np.log(np.maximum(ys, 1e-300)), -np.inf)
-            log_v = log_v + ks * math.log(self.ratio)
-            return np.where(log_v > -690, np.exp(np.maximum(log_v, -700.0)), 0.0)
-        out = np.empty_like(ys)
-        vals = ys.copy()
-        alive = ks > 0
-        out[~alive] = ys[~alive]
-        k_left = np.minimum(ks, self.ITER_BUDGET)
-        while np.any(alive):
-            vals[alive] = self(vals[alive])
-            k_left[alive] -= 1
-            dead = vals < LAMBDA_FLOOR
-            vals[dead & alive] = 0.0
-            done = alive & ((k_left <= 0) | dead)
-            out[done] = vals[done]
-            alive &= ~done
-        return out
+            with np.errstate(divide="ignore"):
+                log_v = np.log(ys_arr) + ks_arr * math.log(self.ratio)
+            out = np.where(log_v > -690, np.exp(np.maximum(log_v, -700.0)), 0.0)
+        else:
+            starts, which = np.unique(ys_arr, return_inverse=True)
+            which = which.ravel()
+            counts = np.minimum(ks_arr, self.ITER_BUDGET).ravel()
+            order = np.argsort(counts)
+            steps, firsts = np.unique(counts[order], return_index=True)
+            out = np.empty(counts.size)
+            v, at = starts, 0
+            for step, lo, hi in zip(steps, firsts, [*firsts[1:], counts.size]):
+                while at < step and v.any():
+                    v = self(v)
+                    v[v < LAMBDA_FLOOR] = 0.0
+                    at += 1
+                out[order[lo:hi]] = v[which[order[lo:hi]]]
+            out = out.reshape(ys_arr.shape)
+        out = np.where(ks_arr == 0, ys_arr, out)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass
 class StabilityEnvelope:
-    """Explicit transient bound eta(t) and steady-state offset c2, together
-    with the intermediate maps used to build them."""
+    """Explicit transient bound eta(t), t = 0..horizon, and steady-state
+    offset c2."""
 
     delta: float
     x0: np.ndarray
     t0_converge: float          # T_converge(delta/2, x0) (or certified upper bound)
     c2: float
-    eta_t: np.ndarray           # 0..horizon
     eta_values: np.ndarray
     mode: str                   # "dense" | "conservative"
-    lam: LambdaMap
-    gamma_tilde: Callable
-    beta1: Callable
-    beta2: Callable
-    eta2: Callable
-    gamma3: Callable
     diagnostics: dict = field(default_factory=dict)
     eta_tilde_values: Optional[np.ndarray] = None   # dense mode, pre-tail-max
 
@@ -844,7 +831,7 @@ class StabilityEnvelope:
             "mode": self.mode,
             "eta_head": self.eta_values[: min(16, len(self.eta_values))].tolist(),
             "eta_tail": float(self.eta_values[-1]),
-            "horizon": int(self.eta_t[-1]),
+            "horizon": len(self.eta_values) - 1,
             "diagnostics": {k: v for k, v in self.diagnostics.items()
                             if isinstance(v, (int, float, str, bool))},
         }
@@ -859,19 +846,32 @@ def _log_expm1(r: float) -> float:
     return math.log(math.expm1(r))
 
 
-def _inv_vec(fn: MonotoneFn, arr: np.ndarray) -> np.ndarray:
-    """Vectorised inverse: analytic path when available, else per element."""
-    if fn.inverse is not None:
-        return np.asarray(fn.inverse(np.asarray(arr, dtype=float)), dtype=float)
-    return np.array([fn.inv(float(v)) for v in np.asarray(arr, dtype=float)])
-
-
 def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
                        horizon: int, cap: int, e_scale: float = 1.0,
                        analysis: Optional[BoundAnalysis] = None) -> StabilityEnvelope:
-    """Construct (eta, c2) for the probabilistic stability bound at level
-    delta.  Requires the delta/2 variant of the theorem condition; refuses
-    with a diagnostic otherwise.
+    """Construct (eta, c2) for the probabilistic stability bound
+    |X(t)| <= eta(t) + c2 at level delta.  Requires the delta/2 variant of the
+    theorem condition; refuses with a diagnostic otherwise.
+
+    With T0 = T_converge(delta/2, x0) and k = t - (T0 + 1), eta_tilde(t) is
+    the plateau x_bar(T0 + 1) up to T0 and beyond it the max of
+    beta1, eta2 + beta2 and gamma3.  Each of these is one branch bound
+    alpha1^-1((2/delta) lam^k'(y)) at its own (y, k'):
+
+        beta1   (alpha2(plateau), k)
+        eta2    (gamma_tilde(2 d~), T0 + 1 + ceil(k/2))
+        beta2   (gamma_tilde(2 sigma3(e_lo)), T0 + 1 + ceil(k/2))
+        gamma3  (gamma_tilde(2 sigma3(e_hi)), 0)
+
+    with gamma_tilde(r) = 2 max(alpha_v^-1(r), r), e_lo the max of the error
+    envelope e over [T0, T0 + floor(k/2)] and e_hi its max over
+    [T0 + 1 + floor(k/2), t - 1].  beta1 is taken in the log domain when
+    alpha2(plateau) overflows.  eta is the running tail max of eta_tilde.
+
+    When T0 is exact and T0 + 1 lies within the horizon, the construction is
+    dense: eta_tilde is evaluated out past the horizon.  Otherwise (a
+    certified upper T0, or T0 beyond the window) eta is the constant head
+    value, each branch at k = 0 with e_lo = e_hi = vartheta_bar.
 
     e_scale multiplicatively rescales the estimation-error schedule fed into
     the transient branches (diagnostic knob; c2 must be invariant to it).
@@ -883,15 +883,11 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
     sigma3, d_tilde, alpha_v = lyap.sigma3, lyap.d_tilde, lyap.alpha_v
     two_over_delta = 2.0 / delta
 
-    def gamma_tilde(r: float) -> float:
-        r = float(r)
-        if r < 0:
-            raise ContractViolation("gamma_tilde argument must be >= 0")
-        if r == 0.0:
-            return 0.0
-        return 2.0 * max(alpha_v.inv(r), r)
+    def gamma_tilde(r):
+        return 2.0 * np.maximum(alpha_v.inv(r), r)
 
-    c2 = alpha1.inv(two_over_delta * gamma_tilde(2.0 * d_tilde)) if d_tilde > 0 else 0.0
+    y_eta2 = float(gamma_tilde(2.0 * d_tilde))
+    c2 = alpha1.inv(two_over_delta * y_eta2)
 
     # locate T0 = T_converge(delta/2, x0), exactly if the cap allows
     analysis = _analysis(inputs, x0, cap, analysis)
@@ -910,10 +906,8 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
             f"T_contained {t_cont:g}{bound}")
 
     plateau = float(inputs.x_bar(t0 + 1, delta / 6.0, x0))
-    t0p1 = t0 + 1  # exponent offset in the printed eta2/beta2 construction
-
-    # lambda map range: the largest value it will ever be applied to
     vbar_eff = inputs.vartheta_bar * e_scale
+    y_vbar = float(gamma_tilde(2.0 * sigma3(vbar_eff)))
     with np.errstate(over="ignore"):
         alpha2_plateau = float(alpha2(plateau))
     log_domain = (not math.isfinite(alpha2_plateau)
@@ -924,67 +918,36 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
             "alpha2(x_bar plateau) exceeds double range and the certificate "
             "admits no log-domain iterate path (needs linear alpha_v and "
             "exponential alpha1/alpha2)")
-    s_needed = max(gamma_tilde(2.0 * d_tilde) if d_tilde > 0 else 0.0,
-                   gamma_tilde(2.0 * float(sigma3(vbar_eff))),
-                   alpha2_plateau if math.isfinite(alpha2_plateau) else 0.0,
-                   1.0)
+    # lambda map range: the largest value it will ever be applied to
+    s_needed = max(y_eta2, y_vbar,
+                   alpha2_plateau if math.isfinite(alpha2_plateau) else 0.0, 1.0)
     lam = LambdaMap(alpha_v, s_max=s_needed * 1.01)
 
-    def beta1(r: float, k: int) -> float:
-        r = float(r)
-        if r == 0.0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            a2r = float(alpha2(r))
-        if math.isfinite(a2r):
-            return float(alpha1.inv(two_over_delta * lam.iterate(a2r, k)))
+    def branch(y, k):
+        return alpha1.inv(two_over_delta * lam.iterate(y, k))
+
+    def beta1(k):
         if not log_domain:
-            raise CertificationError("beta1 argument exceeds double range")
-        # log domain: ln((2/delta) lam^k(e^{a2 r} - 1)) with linear lam
-        log_val = (math.log(two_over_delta) + _log_expm1(alpha2.exp_rate * r)
+            return branch(alpha2_plateau, k)
+        # ln((2/delta) lam^k(e^{a2 plateau} - 1)) with linear lam
+        log_val = (math.log(two_over_delta) + _log_expm1(alpha2.exp_rate * plateau)
                    + k * math.log(lam.ratio))
-        if log_val > 700:
-            return log_val / alpha1.exp_rate
-        return math.log1p(math.exp(log_val)) / alpha1.exp_rate
-
-    def beta2(r: float, k: int) -> float:
-        r = float(r)
-        if r == 0.0:
-            return 0.0
-        y = gamma_tilde(2.0 * float(sigma3(r)))
-        return alpha1.inv(two_over_delta * lam.iterate(y, int(t0p1 + math.ceil(k / 2.0))))
-
-    def eta2(k: int) -> float:
-        if d_tilde == 0.0:
-            return 0.0
-        y = gamma_tilde(2.0 * d_tilde)
-        return alpha1.inv(two_over_delta * lam.iterate(y, int(t0p1 + math.ceil(k / 2.0))))
-
-    def gamma3(r: float) -> float:
-        r = float(r)
-        if r == 0.0:
-            return 0.0
-        return alpha1.inv(two_over_delta * gamma_tilde(2.0 * float(sigma3(r))))
+        return np.where(log_val > 700, log_val,
+                        np.log1p(np.exp(np.minimum(log_val, 700.0)))) / alpha1.exp_rate
 
     if mode == "conservative" or t0 + 1 > horizon:
         # the transient branches only engage beyond T0; on [0, horizon] the
         # envelope is the constant head value (suprema of each branch)
-        head = max(plateau,
-                   beta1(plateau, 0),
-                   eta2(0) + beta2(vbar_eff, 0),
-                   gamma3(vbar_eff))
-        eta_vals = np.full(horizon + 1, head)
+        head = max(plateau, float(beta1(0.0)),
+                   branch(y_eta2, t0 + 1) + branch(y_vbar, t0 + 1),
+                   branch(y_vbar, 0.0))
         diag = {"plateau": plateau, "head": head, "t_contained": t_cont,
                 "converge_mode": mode, "note":
                 "T0 beyond the reporting window; eta is its constant head value"}
         return StabilityEnvelope(delta=delta, x0=np.atleast_1d(np.asarray(x0, float)),
                                  t0_converge=t0, c2=c2,
-                                 eta_t=np.arange(horizon + 1, dtype=float),
-                                 eta_values=eta_vals, mode="conservative" if
-                                 mode == "conservative" else "dense",
-                                 lam=lam, gamma_tilde=gamma_tilde, beta1=beta1,
-                                 beta2=beta2, eta2=eta2, gamma3=gamma3,
-                                 diagnostics=diag)
+                                 eta_values=np.full(horizon + 1, head),
+                                 mode=mode, diagnostics=diag)
 
     # dense construction: evaluate eta_tilde out past the horizon, then take
     # the running tail maximum so eta is non-increasing
@@ -996,75 +959,44 @@ def stability_envelope(inputs: BoundInputs, lyap, delta: float, x0,
     beta = np.cumsum(np.square(zb)) + inputs.gamma
     e_arr = inputs.error_from_beta(t_idx, d2, beta) * e_scale  # e_arr[i] = e(i+1)
 
-    def e_at(i: int) -> float:
-        return float(e_arr[i - 1])
+    ks = np.arange(0, h_ext - t0)                       # k = t - (t0+1)
+    exps = t0 + 1 + np.ceil(ks / 2.0)
 
-    ks = np.arange(0, h_ext - t0, dtype=int)           # k = t - (t0+1)
-    # beta1 branch: orbit of alpha2(plateau)
-    if math.isfinite(alpha2_plateau):
-        orbit = np.empty(len(ks))
-        v = alpha2_plateau
-        for i in range(len(ks)):
-            orbit[i] = v
-            v = 0.0 if v < LAMBDA_FLOOR else float(lam(v))
-        b1 = _inv_vec(alpha1, two_over_delta * orbit)
-    else:
-        b1 = np.array([beta1(plateau, int(k)) for k in ks])
-
-    # beta2 branch: prefix maxima of e over [T0, T0 + floor(k/2)]
+    # e_lo: prefix maxima of e over [T0, T0 + floor(k/2)]
     win_start = max(1, t0)
     prefix = np.maximum.accumulate(e_arr[win_start - 1:])
-    b2_end = np.minimum(t0 + ks // 2, h_ext)
-    b2_arg = np.where(b2_end >= win_start, prefix[np.maximum(b2_end - win_start, 0)], 0.0)
-    exps = (t0 + 1 + np.ceil(ks / 2.0)).astype(int)
-    y_b2 = np.array([gamma_tilde(2.0 * float(sigma3(v))) if v > 0 else 0.0
-                     for v in b2_arg])
-    lam_b2 = lam.iterate_batch(y_b2, exps)
-    b2 = _inv_vec(alpha1, two_over_delta * lam_b2)
+    lo_end = np.minimum(t0 + ks // 2, h_ext)
+    e_lo = np.where(lo_end >= win_start, prefix[np.maximum(lo_end - win_start, 0)], 0.0)
 
-    # eta2 branch: single orbit of gamma_tilde(2 d~) harvested at the exponents
-    if d_tilde > 0:
-        y_e2 = gamma_tilde(2.0 * d_tilde)
-        lam_e2 = lam.iterate_batch(np.full(len(ks), y_e2), exps)
-        e2 = _inv_vec(alpha1, two_over_delta * lam_e2)
-    else:
-        e2 = np.zeros(len(ks))
-
-    # gamma3 branch: sliding-window maxima of e over [T0+1+floor(k/2), t-1]
-    g3_arg = np.zeros(len(ks))
+    # e_hi: sliding-window maxima of e over [T0+1+floor(k/2), t-1]
+    e_hi = np.zeros(len(ks))
     dq: deque = deque()
     lo_ptr = t0 + 1
     for i, k in enumerate(ks):
-        t_here = t0 + 1 + int(k)
-        hi = t_here - 1
+        hi = t0 + int(k)
         lo = t0 + 1 + int(k) // 2
-        while dq and dq[0][0] < lo:
-            dq.popleft()
         while lo_ptr <= hi:
-            val = e_at(lo_ptr)
+            val = e_arr[lo_ptr - 1]
             while dq and dq[-1][1] <= val:
                 dq.pop()
             dq.append((lo_ptr, val))
             lo_ptr += 1
         while dq and dq[0][0] < lo:
             dq.popleft()
-        g3_arg[i] = dq[0][1] if dq else 0.0
-    g3 = np.array([gamma3(v) if v > 0 else 0.0 for v in g3_arg])
+        e_hi[i] = dq[0][1] if dq else 0.0
 
+    b2 = branch(gamma_tilde(2.0 * sigma3(e_lo)), exps)
+    g3 = branch(gamma_tilde(2.0 * sigma3(e_hi)), 0.0)
     eta_tilde = np.empty(h_ext + 1)
     eta_tilde[: t0 + 1] = plateau
-    eta_tilde[t0 + 1:] = np.maximum(b1[: h_ext - t0], np.maximum(e2 + b2, g3))
+    eta_tilde[t0 + 1:] = np.maximum(beta1(ks), np.maximum(branch(y_eta2, exps) + b2, g3))
     tail = eta_tilde[-8:]
     tail_ok = bool(np.all(np.diff(tail) <= 1e-12 * (1.0 + np.abs(tail[:-1]))))
-    eta_full = np.maximum.accumulate(eta_tilde[::-1])[::-1]
-    eta_vals = eta_full[: horizon + 1]
+    eta_vals = np.maximum.accumulate(eta_tilde[::-1])[::-1][: horizon + 1]
 
     diag = {"plateau": plateau, "t_contained": t_cont, "h_ext": h_ext,
             "tail_non_increasing": tail_ok, "converge_mode": conv.mode}
     return StabilityEnvelope(delta=delta, x0=np.atleast_1d(np.asarray(x0, float)),
-                             t0_converge=t0, c2=c2,
-                             eta_t=np.arange(horizon + 1, dtype=float),
-                             eta_values=eta_vals, mode="dense", lam=lam,
-                             gamma_tilde=gamma_tilde, beta1=beta1, beta2=beta2,
-                             eta2=eta2, gamma3=gamma3, diagnostics=diag,
+                             t0_converge=t0, c2=c2, eta_values=eta_vals,
+                             mode="dense", diagnostics=diag,
                              eta_tilde_values=eta_tilde)

@@ -408,12 +408,11 @@ def rpi_check(sys: SystemModel, policy: PolicyFamily, region: RegionDescriptor,
                           note="not falsified")
 
 
-def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: float,
+def estimate_policy_lipschitz(policy: PolicyFamily, theta_star, ball_radius: float,
                               x_max: float = 1e3, seed: int = 0) -> float:
-    """Worst observed ratio |policy(x, theta) - policy(x, theta*)| / |dtheta|
+    """Worst observed ratio |policy(x, 0, theta) - policy(x, 0, theta*)| / |dtheta|
     over parameters within ball_radius of the truth, inflated by the factor
-    LIPSCHITZ_SAFETY.  policy_eval takes (x (k, n), theta) and returns the (k, m)
-    controls (dither already fixed).
+    LIPSCHITZ_SAFETY.  The policy is evaluated with zero dither.
 
     Fails when the scan detects a rank collapse of the input-block inside
     the ball (the ratio blows up; callers should shrink the radius).
@@ -436,7 +435,8 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
     mags = np.geomspace(1e-3, x_max, n_x)
     xs = dirs * mags[:, None]
 
-    base = np.asarray(policy_eval(xs, th), dtype=float)
+    zeros = np.zeros((n_x, policy.dither.dim))
+    base = np.asarray(policy.eval(xs, zeros, th), dtype=float)
     worst = 0.0
     for _ in range(LIPSCHITZ_THETAS):
         d = rng.standard_normal(size=th.shape)
@@ -450,7 +450,7 @@ def estimate_policy_lipschitz(policy_eval: Callable, theta_star, ball_radius: fl
                 "input-block rank collapse inside the parameter ball; "
                 f"retry with a radius below {r:.3g}")
         dist = spectral_norm(cand - th)
-        vals = np.asarray(policy_eval(xs, cand), dtype=float)
+        vals = np.asarray(policy.eval(xs, zeros, cand), dtype=float)
         diff = np.linalg.norm(vals - base, axis=-1)
         worst = max(worst, float(np.max(diff)) / dist)
     if worst == 0.0:

@@ -67,12 +67,20 @@ class MonotoneFn:
     def __call__(self, r):
         return self.fn(np.asarray(r, dtype=float)) if np.ndim(r) else float(self.fn(float(r)))
 
-    def inv(self, y: float) -> float:
-        y = float(y)
-        if y < 0:
-            raise ContractViolation(f"cannot invert {self.name} at negative value {y}")
+    def inv(self, y):
+        """f^-1(y), elementwise over an array; a scalar gives a float."""
+        y_arr = np.asarray(y, dtype=float)
+        if np.any(y_arr < 0):
+            raise ContractViolation(
+                f"cannot invert {self.name} at negative value {y_arr.min()}")
         if self.inverse is not None:
-            return float(self.inverse(y))
+            out = np.asarray(self.inverse(y_arr), dtype=float)
+        else:
+            out = np.array([self._bisect_inv(float(v)) for v in y_arr.ravel()]
+                           ).reshape(y_arr.shape)
+        return float(out) if np.ndim(y) == 0 else out
+
+    def _bisect_inv(self, y: float) -> float:
         if y == 0.0:
             return 0.0
         hi = 1.0

@@ -145,25 +145,3 @@ class NoiseModel:
     @property
     def bounded(self) -> bool:
         return self.kind != GAUSSIAN
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "dim": self.dim,
-             "sub_gaussian_sigma": self.sub_gaussian_sigma}
-        if self.kind == UNIFORM_BOX:
-            d["half_widths"] = self.half_widths.tolist()
-        elif self.kind == GAUSSIAN:
-            d["covariance"] = self.covariance.tolist()
-        else:
-            d["value"] = self.value.tolist()
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "NoiseModel":
-        kind = d["kind"]
-        if kind == UNIFORM_BOX:
-            return NoiseModel.uniform_box(d["half_widths"])
-        if kind == GAUSSIAN:
-            return NoiseModel.gaussian(d["covariance"])
-        if kind == POINT_MASS:
-            return NoiseModel.point_mass(d["value"])
-        raise ContractViolation(f"unknown noise kind {kind!r}")

@@ -24,8 +24,7 @@ from .linalg import reachability_matrix, spectral_norm
 from .noise import NoiseModel
 from .regions import RegionDescriptor
 from .rng import substream
-from .system import (PolicyFamily, SystemModel, make_ce_sat_policy, policy_ce_sat,
-                     split_theta, subsample_linear)
+from .system import PolicyFamily, SystemModel, make_ce_sat_policy, subsample_linear
 
 PWA_GAIN = 0.1   # fixed control gain of the piecewise-affine plant
 
@@ -146,12 +145,6 @@ def _norm_exp_v(x):
     return np.expm1(np.linalg.norm(np.atleast_1d(x), axis=-1))
 
 
-def _feedback_only(n: int, u_bar1: float):
-    """The certainty-equivalence feedback without dither, (x, theta) -> u,
-    as the policy Lipschitz scan consumes it."""
-    return lambda x, theta: policy_ce_sat(split_theta(theta, n), x, 0.0, u_bar1)
-
-
 def build_pwa(params: PwaExampleParams = PwaExampleParams(),
               seed: int = 0) -> PlantBundle:
     """Piecewise-affine example: x+ = x + 0.1 1{|x| <= x_bar} u + w with
@@ -199,7 +192,7 @@ def build_pwa(params: PwaExampleParams = PwaExampleParams(),
             f"dominated by the feedback authority 0.1*u_bar1 = {PWA_GAIN * u1:.4g}")
 
     scan_radius = 0.5 * PWA_GAIN
-    c_lip = estimate_policy_lipschitz(_feedback_only(1, u1), theta_star, scan_radius,
+    c_lip = estimate_policy_lipschitz(policy, theta_star, scan_radius,
                                       x_max=10.0 * u1 / PWA_GAIN, seed=seed)
     # vartheta_bar must keep both the invariance inequality
     # 0.1 u1 >= 0.1 (C vb + s_bar) + w_bar and the drift-rate positivity
@@ -291,7 +284,7 @@ def build_linear(params: LinearExampleParams = LinearExampleParams(),
             f"dominated by sigma_min(R)*u_bar1 = {authority:.4g}")
 
     scan_radius = 0.25 * sv_min
-    c_lip = estimate_policy_lipschitz(_feedback_only(n, u1), system.theta_star,
+    c_lip = estimate_policy_lipschitz(policy, system.theta_star,
                                       scan_radius, x_max=100.0, seed=seed)
     vartheta_bar = 0.9 * min((authority - h) / (r_star_norm * c_lip), scan_radius)
     if vartheta_bar <= 0:

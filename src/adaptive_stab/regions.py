@@ -134,14 +134,3 @@ class RegionDescriptor:
         if self.dim is not None:
             d["dim"] = self.dim
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "RegionDescriptor":
-        shape = d["shape"]
-        if shape == BALL:
-            return RegionDescriptor.ball(d["center"], d["radius"])
-        if shape == BOX:
-            return RegionDescriptor.box(d["lows"], d["highs"])
-        if shape == ALL:
-            return RegionDescriptor.everything(d.get("dim"))
-        raise ContractViolation(f"unknown region shape {shape!r}")

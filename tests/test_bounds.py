@@ -152,7 +152,7 @@ def oracle_burn_in(inp, delta, x0, cap, witness=False):
     zsq = inp.z_bar_sq(t, d3, x0)
     s = np.cumsum(zsq)
     a = 2.0 / ((1.0 - math.log(2.0)) * inp.p_pe)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         base = a * inp.d * np.log1p(16.0 * s / (inp.c_pe * inp.p_pe * (t - 1.0)))
     for T in range(1, cap + 1):
         pen = a * np.log(math.pi ** 2 * (t[T - 1:] - T + 1.0) ** 2 / (2.0 * delta))

@@ -438,27 +438,14 @@ class TestPolicyLipschitz:
         assert 5.0 <= c <= 25.0
 
     def test_identical_parameters_zero_difference(self, pwa_bundle):
-        from adaptive_stab.linalg import pinv, sat
-        from adaptive_stab.system import split_theta
+        policy = pwa_bundle.policy
         th = pwa_bundle.system.theta_star
-
-        def feedback(x, theta):
-            th1, th2 = split_theta(theta, 1)
-            return sat(-(np.atleast_1d(x) @ (pinv(th2) @ th1).T), 0.9)
-
-        assert np.allclose(feedback(np.array([0.05]), th),
-                           feedback(np.array([0.05]), th.copy()))
+        x, s = np.array([[0.05]]), np.zeros((1, 1))
+        assert np.array_equal(policy.eval(x, s, th), policy.eval(x, s, th.copy()))
 
     def test_rank_collapse_detected(self, pwa_bundle):
-        from adaptive_stab.linalg import pinv, sat
-        from adaptive_stab.system import split_theta
-
-        def feedback(x, theta):
-            th1, th2 = split_theta(theta, 1)
-            return sat(-(np.atleast_1d(x) @ (pinv(th2) @ th1).T), 0.9)
-
         with pytest.raises(CertificationError, match="radius"):
-            estimate_policy_lipschitz(feedback, pwa_bundle.system.theta_star,
+            estimate_policy_lipschitz(pwa_bundle.policy, pwa_bundle.system.theta_star,
                                       ball_radius=0.5, seed=0)
 
 

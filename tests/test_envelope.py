@@ -65,24 +65,51 @@ class TestLambdaMap:
         inp, lyap = nonlinear_alpha_v_instance()
         lam = B.LambdaMap(lyap.alpha_v, s_max=1e4)
         y = 37.5
-        v = y
+        orbit = [y]
         for k in range(1, 40):
-            v = float(lam(v))
-            assert lam.iterate(y, k) == pytest.approx(v, rel=1e-12)
+            orbit.append(float(lam(orbit[-1])))
+            assert lam.iterate(y, k) == pytest.approx(orbit[-1], rel=1e-12)
+        # one shared start harvested at many counts, in any order
+        ks = np.arange(40)[::-1]
+        assert np.array_equal(lam.iterate(y, ks), np.array(orbit)[ks])
 
-    def test_iterate_batch_matches_scalar(self):
-        inp, lyap = nonlinear_alpha_v_instance()
-        lam = B.LambdaMap(lyap.alpha_v, s_max=1e4)
-        ys = np.array([0.5, 3.0, 250.0, 0.0])
-        ks = np.array([0, 3, 17, 5])
-        got = lam.iterate_batch(ys, ks)
-        want = [lam.iterate(float(y), int(k)) for y, k in zip(ys, ks)]
-        assert np.allclose(got, want, rtol=1e-12)
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_iterate_zero_is_identity(self, nonlinear):
+        alpha_v = (nonlinear_alpha_v_instance()[1].alpha_v if nonlinear
+                   else K.scaled_identity(0.3))
+        lam = B.LambdaMap(alpha_v, s_max=1e4)
+        ys = np.array([3.0, 7.0, 250.0, 123.456, 1e-40, 0.0])
+        for y in ys:
+            assert lam.iterate(float(y), 0) == y
+        assert np.array_equal(lam.iterate(ys, 0), ys)
 
     def test_linear_log_domain_iterates(self):
         lam = B.LambdaMap(K.scaled_identity(0.2))
         assert lam.iterate(1e10, 100000) == 0.0
         assert lam.iterate(2.0, 3) == pytest.approx(2.0 * (1 - 0.05) ** 3)
+        # counts beyond int64, as certified converge times reach ~1e20
+        assert lam.iterate(1e10, 2 ** 64) == 0.0
+        assert lam.iterate(1e300, 2.0 ** 70) == 0.0
+        got = lam.iterate(np.array([1.0, 1e300]), np.array([9.9e19, 2.0 ** 64]))
+        assert np.array_equal(got, [0.0, 0.0])
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_iterate_broadcasts(self, nonlinear):
+        alpha_v = (nonlinear_alpha_v_instance()[1].alpha_v if nonlinear
+                   else K.scaled_identity(0.3))
+        lam = B.LambdaMap(alpha_v, s_max=1e4)
+        ys = np.array([0.5, 3.0, 250.0, 0.0])
+        ks = np.array([0, 3, 17, 5])
+        assert isinstance(lam.iterate(3.0, 17), float)
+        want = np.array([lam.iterate(float(y), int(k)) for y, k in zip(ys, ks)])
+        assert np.allclose(lam.iterate(ys, ks), want, rtol=1e-12)
+        assert np.allclose(lam.iterate(ys, 17),
+                           [lam.iterate(float(y), 17) for y in ys], rtol=1e-12)
+        assert np.allclose(lam.iterate(250.0, ks),
+                           [lam.iterate(250.0, int(k)) for k in ks], rtol=1e-12)
+        grid = lam.iterate(ys[:, None], ks[None, :])
+        assert grid.shape == (4, 4)
+        assert np.allclose(np.diag(grid), want, rtol=1e-12)
 
 
 class TestStabilityEnvelopeDense:
@@ -121,8 +148,10 @@ class TestStabilityEnvelopeDense:
         assert heads[0] <= heads[1] <= heads[2]
 
     def test_eta_tilde_oracle_re_evaluation(self):
-        """Re-derive eta_tilde at sampled times with explicit max scans and
-        scalar lambda iterates; must match the vectorised construction."""
+        """Re-derive eta_tilde at sampled times from small_instance's branch
+        formulas written out: lam^k(y) is k multiplications by 1 - 0.3/4,
+        alpha1^-1(y) = y/0.5, alpha2 = id, sigma3 = 0.1 id and
+        gamma_tilde(r) = 2 max(r/0.3, r), with explicit max scans of e."""
         inp, lyap = small_instance()
         delta, x0 = 0.1, [0.5]
         env = B.stability_envelope(inp, lyap, delta, x0, horizon=1500, cap=5000)
@@ -136,16 +165,25 @@ class TestStabilityEnvelopeDense:
         def e_at(i):
             return float(e[i - 1])
 
+        def branch(y, k):  # alpha1^-1((2/delta) lam^k(y))
+            for _ in range(k):
+                y *= 1.0 - 0.3 / 4.0
+            return (2.0 / delta) * y / 0.5
+
+        def gamma_tilde(r):
+            return 2.0 * max(r / 0.3, r)
+
         plateau = float(inp.x_bar(t0 + 1, delta / 6.0, x0))
         for t in [t0 + 1, t0 + 2, t0 + 7, t0 + 50, t0 + 501]:
             k = t - (t0 + 1)
-            b1 = env.beta1(plateau, k)
+            k_late = t0 + 1 + math.ceil(k / 2)
+            b1 = branch(plateau, k)
             win_b2 = [e_at(i) for i in range(t0, t0 + k // 2 + 1)]
-            b2 = env.beta2(max(win_b2), k)
-            e2 = env.eta2(k)
+            b2 = branch(gamma_tilde(2.0 * 0.1 * max(win_b2)), k_late)
+            e2 = branch(gamma_tilde(2.0 * 0.05), k_late)
             lo = t0 + 1 + k // 2
             win_g3 = [e_at(i) for i in range(lo, t)]  # i <= t-1
-            g3 = env.gamma3(max(win_g3)) if win_g3 else 0.0
+            g3 = branch(gamma_tilde(2.0 * 0.1 * max(win_g3)), 0) if win_g3 else 0.0
             want = max(b1, e2 + b2, g3)
             got = env.eta_tilde_values[t]
             assert got == pytest.approx(want, rel=1e-10), f"t={t}"
@@ -155,9 +193,9 @@ class TestStabilityEnvelopeDense:
         env = B.stability_envelope(inp, lyap, 0.1, [0.5], horizon=800, cap=5000)
         ev = env.eta_values
         assert np.all(np.diff(ev) <= 1e-10 * (1.0 + np.abs(ev[:-1])))
-        # gamma_tilde uses the quadratic inverse
-        assert env.gamma_tilde(0.1) == pytest.approx(
-            2.0 * max(math.sqrt(0.1 / 0.4), 0.1))
+        # c2 = alpha1^-1((2/delta) gamma_tilde(2 d~)) through the quadratic inverse
+        assert env.c2 == pytest.approx(
+            (2.0 / 0.1) * 2.0 * max(math.sqrt(0.1 / 0.4), 0.1) / 0.5)
 
     def test_refusal_when_condition_fails(self):
         inp, lyap = small_instance()
